@@ -1,6 +1,10 @@
-"""Pure numpy implementation of the hot reference-solver kernel."""
+"""Proximal-gradient warm start for the lasso optimum (numpy)."""
 
 import numpy as np
+
+
+def backend_name():
+    return "python"
 
 
 def ista_solve(AtA, Atb, lam, s, x0, iters):

@@ -62,8 +62,10 @@ class RunParams:
             raise ParameterError(f"unknown algorithm {self.algo!r}")
         if self.iters < 1:
             raise ParameterError("iters must be a positive integer")
-        if self.step <= 0.0:
-            raise ParameterError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ParameterError(f"step must be positive and finite, got {self.step}")
+        if self.momentum_r is not None and not math.isfinite(self.momentum_r):
+            raise ParameterError(f"momentum parameter r must be finite, got {self.momentum_r}")
         if self.algo in R_FAMILY_ALGOS:
             if self.momentum_r is None:
                 raise ParameterError(f"{self.algo} requires the momentum parameter r")
@@ -292,6 +294,8 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     work, oracle = _resolve_work_problem(problem, params.algo)
     require_step(params.step, oracle.lipschitz)
     x0 = _as_vector(x0, oracle.dim)
+    if not np.all(np.isfinite(x0)):
+        raise ParameterError("start point x0 must be finite")
     s = params.step
     r = params.momentum_r
     core = _CORES[params.algo]

@@ -8,9 +8,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage or configuration error, 2 certification
 failure. Trace CSVs are plot-ready; trace JSONs additionally carry the full
-per-iteration state and can be re-ingested bit-faithfully. The environment
-variable ACCEL_SEED is reserved but unused: every algorithm here is
-deterministic.
+per-iteration state and can be re-ingested bit-faithfully. Every algorithm
+here is deterministic.
 """
 
 from __future__ import annotations
@@ -345,25 +344,38 @@ def load_trace(path: str) -> Trace:
         raise UsageError(f"{path!r} is not a JSON trace (CSV traces cannot be re-ingested)") from exc
     if not isinstance(payload, dict) or payload.get("kind") != "accelcert-trace":
         raise UsageError(f"{path!r} is not an accelcert trace file")
-    params = RunParams(
-        algo=payload["params"]["algo"],
-        step=payload["params"]["step"],
-        iters=payload["params"]["iters"],
-        momentum_r=payload["params"]["momentum_r"],
-    )
-    records = tuple(
-        TraceRecord(
-            k=rec["k"],
-            x=np.asarray(rec["x"], dtype=float),
-            y=np.asarray(rec["y"], dtype=float),
-            v=np.asarray(rec["v"], dtype=float),
-            f_or_phi_at_x=rec["f"],
-            first_order_at_y=np.asarray(rec["map"], dtype=float),
-            z=None if rec["z"] is None else np.asarray(rec["z"], dtype=float),
+    try:
+        raw = payload["params"]
+        params = RunParams(
+            algo=raw["algo"], step=raw["step"], iters=raw["iters"], momentum_r=raw["momentum_r"]
         )
-        for rec in payload["records"]
-    )
-    return Trace(params=params, problem_id=payload["problem_id"], records=records)
+        records = tuple(
+            TraceRecord(
+                k=rec["k"],
+                x=np.asarray(rec["x"], dtype=float),
+                y=np.asarray(rec["y"], dtype=float),
+                v=np.asarray(rec["v"], dtype=float),
+                f_or_phi_at_x=float(rec["f"]),
+                first_order_at_y=np.asarray(rec["map"], dtype=float),
+                z=None if rec["z"] is None else np.asarray(rec["z"], dtype=float),
+            )
+            for rec in payload["records"]
+        )
+        problem_id = payload["problem_id"]
+    except KeyError as exc:
+        raise UsageError(f"trace {path!r} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed trace {path!r}: {exc}") from exc
+    if not records or records[0].x.ndim != 1:
+        raise UsageError(f"trace {path!r} has no records of vector iterates")
+    shape = records[0].x.shape
+    for rec in records:
+        vectors = [rec.x, rec.y, rec.v, rec.first_order_at_y] + ([] if rec.z is None else [rec.z])
+        if any(v.shape != shape for v in vectors):
+            raise UsageError(
+                f"trace {path!r}: record {rec.k} does not have dimension {shape[0]}"
+            )
+    return Trace(params=params, problem_id=problem_id, records=records)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -8,6 +8,7 @@ concurrent runs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,8 +22,12 @@ Vector = np.ndarray
 #: Desk-scale cap on the problem dimension; keeps exact eigen-solves cheap.
 MAX_DIM = 50
 
-#: Length of the proximal-gradient reference run that pins lasso optima.
+#: Most proximal-gradient steps spent pinning a lasso optimum.
 REFERENCE_ITERS = 1_000_000
+
+#: Steps in the first proximal-gradient chunk of the lasso warm start; each
+#: later chunk is twice as long.
+WARM_START_ITERS = 32
 
 
 @dataclass(frozen=True)
@@ -89,7 +94,9 @@ class OptimumInfo:
 
     ``source`` is "analytic" for closed-form optima and "reference-run" when
     the optimum was pinned numerically; reference runs record their solver
-    parameters in ``solver_params``.
+    parameters in ``solver_params``: the proximal-gradient steps run
+    (``iterations``), their ``step``, and ``error_bound``, an upper bound on
+    phi(x_star) - phi*.
     """
 
     x_star: Vector
@@ -102,7 +109,10 @@ Problem = SmoothOracle | CompositeObjective
 
 
 def _as_vector(x, dim: int | None = None) -> Vector:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    try:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(f"expected a numeric vector: {exc}") from exc
     if x.ndim != 1:
         raise InvalidProblemError(f"expected a vector, got shape {x.shape}")
     if dim is not None and x.size != dim:
@@ -156,18 +166,32 @@ def make_lasso(
 
     A must have full column rank so the smooth part is strongly convex; mu
     and L are the extreme eigenvalues of A^T A, computed exactly at desk
-    scale. The optimum is pinned by ``ref_iters`` proximal-gradient steps
-    with step 0.9/L from the origin and reported as a reference run.
+    scale. The optimum is solved on its sign pattern (see ``_solve_lasso``)
+    within at most ``ref_iters`` proximal-gradient steps and reported as a
+    reference run.
     """
-    A = np.asarray(design, dtype=float)
+    try:
+        A = np.asarray(design, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(f"design must be a numeric matrix: {exc}") from exc
     if A.ndim != 2:
         raise InvalidProblemError("design must be a 2-d matrix")
     m, d = A.shape
     b = _as_vector(target, m)
     if d < 1 or d > MAX_DIM:
         raise InvalidProblemError(f"need 1..{MAX_DIM} columns, got {d}")
-    if l1_weight < 0.0:
-        raise InvalidProblemError("l1 weight must be nonnegative")
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+        raise InvalidProblemError("design and target must be finite")
+    try:
+        lam = float(l1_weight)
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(f"l1 weight must be a number, got {l1_weight!r}") from exc
+    if not 0.0 <= lam < np.inf:
+        raise InvalidProblemError(f"l1 weight must be finite and nonnegative, got {lam}")
+    if isinstance(ref_iters, float) and ref_iters.is_integer():
+        ref_iters = int(ref_iters)
+    if isinstance(ref_iters, bool) or not isinstance(ref_iters, numbers.Integral):
+        raise InvalidProblemError(f"ref_iters must be an integer, got {ref_iters!r}")
     if ref_iters < 1:
         raise InvalidProblemError("reference run needs at least one iteration")
 
@@ -186,17 +210,58 @@ def make_lasso(
         return AtA @ np.asarray(x, dtype=float) - Atb
 
     oracle = SmoothOracle(dim=d, value=value, gradient=gradient, mu=mu, lipschitz=lipschitz)
-    problem = CompositeObjective(smooth=oracle, regularizer_kind="l1", l1_weight=float(l1_weight))
+    problem = CompositeObjective(smooth=oracle, regularizer_kind="l1", l1_weight=lam)
 
     ref_step = 0.9 / lipschitz
-    x_star = _core.ista_solve(AtA, Atb, l1_weight, ref_step, np.zeros(d), ref_iters)
+    x_star, iterations = _solve_lasso(AtA, Atb, lam, ref_step, int(ref_iters))
+    residual = _subgradient_residual(AtA, Atb, lam, x_star)
     optimum = OptimumInfo(
         x_star=x_star,
         f_star=problem.phi_value(x_star),
         source="reference-run",
-        solver_params={"iterations": int(ref_iters), "step": ref_step},
+        solver_params={
+            "iterations": iterations,
+            "step": ref_step,
+            "error_bound": float(np.dot(residual, residual)) / (2.0 * mu),
+        },
     )
     return problem, optimum
+
+
+def _subgradient_residual(AtA, Atb, lam: float, x: Vector) -> Vector:
+    """Minimum-norm element of grad f(x) + lam * subdiff ||x||_1."""
+    g = AtA @ x - Atb
+    return np.where(x != 0.0, g + lam * np.sign(x), np.maximum(np.abs(g) - lam, 0.0))
+
+
+def _solve_lasso(AtA, Atb, lam: float, step: float, cap: int) -> tuple[Vector, int]:
+    """Lasso minimizer and the number of proximal-gradient steps spent on it.
+
+    Proximal-gradient steps from the origin run in doubling chunks. After
+    each chunk the stationarity system A_S^T A_S x_S = A_S^T b - lam sign_S
+    is solved on the iterate's support S. The solution is the minimizer once
+    its signs match the pattern and |grad f_i| <= lam off S, the KKT
+    conditions (Osborne, Presnell & Turlach 2000). If ``cap`` steps pass
+    without that, the last proximal-gradient iterate is returned.
+    """
+    x = np.zeros(Atb.size)
+    done, chunk = 0, WARM_START_ITERS
+    while done < cap:
+        n = min(chunk, cap - done)
+        x = _core.ista_solve(AtA, Atb, lam, step, x, n)
+        done += n
+        chunk *= 2
+        support = x != 0.0
+        signs = np.sign(x[support])
+        solved = np.zeros_like(x)
+        solved[support] = np.linalg.solve(
+            AtA[np.ix_(support, support)], Atb[support] - lam * signs
+        )
+        if np.array_equal(np.sign(solved[support]), signs) and not np.any(
+            _subgradient_residual(AtA, Atb, lam, solved)[~support]
+        ):
+            return solved, done
+    return x, done
 
 
 def oracle_eval(oracle: SmoothOracle, x) -> tuple[float, Vector]:
@@ -308,10 +373,10 @@ def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
             design = payload["A"]
             target = payload["b"]
             weight = float(payload["lambda"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InvalidProblemError(
-                f"lasso file {path!r} must define A, b and lambda"
+                f"lasso file {path!r} must define A, b and a numeric lambda"
             ) from exc
-        ref_iters = int(payload.get("ref_iters", REFERENCE_ITERS))
+        ref_iters = payload.get("ref_iters", REFERENCE_ITERS)
         return make_lasso(design, target, weight, ref_iters=ref_iters)
     raise InvalidProblemError(f"unknown problem {name!r}")

@@ -24,7 +24,7 @@ def quad2d():
 
 @pytest.fixture(scope="session")
 def lasso5():
-    """The 5x5 lasso instance with its full-length reference optimum."""
+    """The 5x5 lasso instance with its optimum solved on the sign pattern."""
     return ac.make_lasso(LASSO5_A, LASSO5_B, LASSO5_LAM)
 
 

@@ -313,3 +313,52 @@ def test_stationary_start_via_cli(tmp_path):
     assert rc == 0
     _, rows = read_csv(out)
     assert all(float(row[1]) == 0.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--algo", "nag", "--step", "0.4", "--r", "nan", "--certify"],
+        ["--algo", "nag", "--step", "0.4", "--r", "inf", "--certify"],
+        ["--algo", "gd", "--step", "nan"],
+        ["--algo", "nag", "--step", "0.4", "--r", "2", "--x0=nan,1", "--certify"],
+    ],
+)
+def test_non_finite_run_parameters_are_usage_errors(tmp_path, capsys, flags):
+    rc = harness.main(["run", "--problem", "quad2d", "--iters", "5", *flags,
+                       "--trace-out", str(tmp_path / "t.csv"),
+                       "--certificate-out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _drop_params(payload):
+    del payload["params"]
+
+
+def _drop_map(payload):
+    del payload["records"][2]["map"]
+
+
+def _grow_record(payload):
+    payload["records"][3]["x"].append(0.0)
+
+
+@pytest.mark.parametrize("mutate", [_drop_params, _drop_map, _grow_record])
+def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
+    tr = tmp_path / "t.json"
+    harness.main(["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4",
+                  "--r", "2", "--iters", "10", "--format", "json",
+                  "--trace-out", str(tr)])
+    payload = json.loads(tr.read_text())
+    mutate(payload)
+    tr.write_text(json.dumps(payload))
+    with pytest.raises(UsageError):
+        load_trace(str(tr))
+    capsys.readouterr()
+    rc = harness.main(["certify", "--trace", str(tr), "--problem", "quad2d",
+                       "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

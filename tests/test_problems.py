@@ -1,10 +1,12 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
-from conftest import LASSO5_A
+from conftest import LASSO5_A, LASSO5_B, LASSO5_LAM
 
 import accelcert as ac
+from accelcert import _core
 from accelcert.errors import InvalidProblemError
 from accelcert.problems import (
     fundamental_inequality_slack,
@@ -67,8 +69,77 @@ def test_lasso_identity_soft_threshold_optimum(identity_lasso):
     assert optimum.source == "reference-run"
     assert optimum.x_star == pytest.approx([2.0, -2.0], abs=1e-12)
     assert optimum.f_star == pytest.approx(5.0, abs=1e-12)
-    assert optimum.solver_params["iterations"] == 50_000
+    assert optimum.solver_params["iterations"] < 50_000
     assert optimum.solver_params["step"] == pytest.approx(0.9)
+
+
+def lasso_by_enumeration(A, b, lam):
+    """Lasso minimizer as the least-phi stationary point over all sign patterns."""
+    AtA, Atb = A.T @ A, A.T @ b
+
+    def phi(x):
+        r = A @ x - b
+        return 0.5 * np.dot(r, r) + lam * np.sum(np.abs(x))
+
+    best = np.zeros(A.shape[1])
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=A.shape[1]):
+        sign = np.array(signs)
+        on = sign != 0.0
+        if on.any():
+            x = np.zeros_like(best)
+            x[on] = np.linalg.solve(AtA[np.ix_(on, on)], Atb[on] - lam * sign[on])
+            if phi(x) < phi(best):
+                best = x
+    return best
+
+
+def test_lasso_optimum_matches_sign_pattern_enumeration(lasso5):
+    A, b = np.asarray(LASSO5_A), np.asarray(LASSO5_B)
+    _, optimum = lasso5
+    assert np.max(np.abs(optimum.x_star - lasso_by_enumeration(A, b, LASSO5_LAM))) <= 1e-15
+    assert optimum.solver_params["iterations"] < 1000
+    assert 0.0 <= optimum.solver_params["error_bound"] <= 1e-28
+
+
+def test_lasso_optimum_on_seeded_instances():
+    rng = np.random.default_rng(2000)
+    for _ in range(20):
+        d = int(rng.integers(1, 6))
+        A = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+        b = rng.uniform(-2.0, 2.0, d)
+        lam = float(rng.uniform(0.05, 1.0))
+        _, optimum = ac.make_lasso(A, b, lam, ref_iters=100_000)
+        x_enum = lasso_by_enumeration(A, b, lam)
+        assert np.max(np.abs(optimum.x_star - x_enum)) <= 1e-12 * (1.0 + np.max(np.abs(x_enum)))
+        assert optimum.solver_params["iterations"] < 100_000
+        assert optimum.solver_params["error_bound"] <= 1e-25
+
+
+def test_lasso_solve_runs_more_chunks_until_signs_settle():
+    # Correlated columns: the first warm-start chunk still has the second
+    # coordinate on the support, so the solve needs later chunks.
+    A = np.array([[1.0, 0.95], [0.95, 1.0]])
+    b = np.array([1.0, 0.5])
+    _, optimum = ac.make_lasso(A, b, 0.1)
+    assert optimum.x_star[1] == 0.0
+    assert optimum.x_star == pytest.approx(lasso_by_enumeration(A, b, 0.1), abs=1e-15)
+    assert 32 < optimum.solver_params["iterations"] < 1000
+    assert optimum.solver_params["error_bound"] <= 1e-28
+
+
+def test_lasso_capped_solve_reports_error_bound():
+    _, optimum = ac.make_lasso(LASSO5_A, LASSO5_B, LASSO5_LAM, ref_iters=1)
+    assert optimum.solver_params["iterations"] == 1
+    assert optimum.solver_params["error_bound"] > 0.0
+
+
+def test_ista_reaches_separable_solution():
+    x = _core.ista_solve(np.eye(2), np.array([3.0, -3.0]), 1.0, 0.9, np.zeros(2), 5000)
+    assert x == pytest.approx([2.0, -2.0], abs=1e-12)
+
+
+def test_backend_name():
+    assert _core.backend_name() == "python"
 
 
 def test_lasso_zero_data():
@@ -198,3 +269,24 @@ def test_resolve_lasso_file(tmp_path, identity_lasso):
 def test_resolve_rejects_bad_names(name):
     with pytest.raises(InvalidProblemError):
         resolve_problem(name)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"A": [[1.0, 0.0], [0.0]]},
+        {"ref_iters": "many"},
+        {"ref_iters": 2.7},
+        {"ref_iters": True},
+        {"A": [[1.0, 0.0], [0.0, float("nan")]]},
+        {"b": [3.0, float("inf")]},
+        {"lambda": "nan"},
+        {"lambda": "heavy"},
+    ],
+)
+def test_resolve_rejects_bad_lasso_files(tmp_path, change):
+    payload = {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [3.0, -3.0], "lambda": 1.0, **change}
+    path = tmp_path / "lasso.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidProblemError):
+        resolve_problem(f"lasso:{path}")

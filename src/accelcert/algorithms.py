@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,27 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
+class TraceColumns:
+    """Read-only whole-trace arrays; row k holds record k.
+
+    ``x``, ``y``, ``v`` and ``map`` (the first-order map at y_k) have shape
+    (n+1, d), ``f`` (f or phi at x_k) has shape (n+1,).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
+    map: np.ndarray
+    f: np.ndarray
+
+
+def _column(values) -> np.ndarray:
+    col = np.array(values, dtype=float)
+    col.setflags(write=False)
+    return col
+
+
+@dataclass(frozen=True)
 class Trace:
     """Per-iteration records of one run, including the first-order map
     (gradient or proximal subgradient) evaluated at y_k during stepping."""
@@ -97,8 +119,20 @@ class Trace:
     def iters(self) -> int:
         return len(self.records) - 1
 
+    @cached_property
+    def columns(self) -> TraceColumns:
+        """The records stacked into arrays, once per Trace."""
+        recs = self.records
+        return TraceColumns(
+            x=_column([rec.x for rec in recs]),
+            y=_column([rec.y for rec in recs]),
+            v=_column([rec.v for rec in recs]),
+            map=_column([rec.first_order_at_y for rec in recs]),
+            f=_column([rec.f_or_phi_at_x for rec in recs]),
+        )
+
     def f_values(self) -> np.ndarray:
-        return np.array([rec.f_or_phi_at_x for rec in self.records])
+        return self.columns.f.copy()
 
 
 def initial_state(x0) -> AlgoState:
@@ -116,7 +150,9 @@ def _sc_coefficient(mu: float, s: float) -> float:
 
 # Step cores. Each maps (state, problem, s, r) to (next state, first-order
 # map evaluated at y_k, candidate z_k or None); the runner stores the map
-# with record k so analysis reuses exactly what the step consumed.
+# with record k so analysis reuses exactly what the step consumed. The
+# monotone cores also take fx = f(x_k) and return f(x_{k+1}) last, so the
+# comparison costs one evaluation, f(z_k).
 
 
 def _gd_core(state, oracle, s, r):
@@ -145,18 +181,23 @@ def _nag_phase_core(state, oracle, s, r):
     return AlgoState(k + 1, x1, y1, v1), g, None
 
 
-def _mnag_core(state, oracle, s, r):
+def _accept(z, fz, x, fx):
+    # The comparison step: z_k replaces x_k unless it increases f; ties accept.
+    return (z, fz) if fz <= fx else (x, fx)
+
+
+def _mnag_core(state, oracle, s, r, fx):
     k = state.k
     g = oracle.gradient(state.y)
     z = state.y - s * g
-    x1 = z if oracle.value(z) <= oracle.value(state.x) else state.x
+    x1, f1 = _accept(z, oracle.value(z), state.x, fx)
     y1 = (
         x1
         + (k / (k + r + 1.0)) * (x1 - state.x)
         + ((k + r) / (k + r + 1.0)) * (z - x1)
     )
     v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(k + 1, x1, y1, v1, z=z), g, z
+    return AlgoState(k + 1, x1, y1, v1, z=z), g, z, f1
 
 
 def _prox_step(problem, y, s):
@@ -177,17 +218,17 @@ def _fista_core(state, problem, s, r):
     return AlgoState(k + 1, x1, y1, v1), m, None
 
 
-def _mfista_core(state, problem, s, r):
+def _mfista_core(state, problem, s, r, fx):
     k = state.k
     z, m = _prox_step(problem, state.y, s)
-    x1 = z if problem.phi_value(z) <= problem.phi_value(state.x) else state.x
+    x1, f1 = _accept(z, problem.phi_value(z), state.x, fx)
     y1 = (
         x1
         + (k / (k + r + 1.0)) * (x1 - state.x)
         + ((k + r) / (k + r + 1.0)) * (z - x1)
     )
     v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(k + 1, x1, y1, v1, z=z), m, z
+    return AlgoState(k + 1, x1, y1, v1, z=z), m, z, f1
 
 
 def _nag_sc_core(state, oracle, s, r):
@@ -199,14 +240,14 @@ def _nag_sc_core(state, oracle, s, r):
     return AlgoState(state.k + 1, x1, y1, v1), g, None
 
 
-def _mnag_sc_core(state, oracle, s, r):
+def _mnag_sc_core(state, oracle, s, r, fx):
     coeff = _sc_coefficient(oracle.mu, s)
     g = oracle.gradient(state.y)
     z = state.y - s * g
-    x1 = z if oracle.value(z) <= oracle.value(state.x) else state.x
+    x1, f1 = _accept(z, oracle.value(z), state.x, fx)
     y1 = x1 + coeff * (x1 - state.x) + (z - x1)
     v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(state.k + 1, x1, y1, v1, z=z), g, z
+    return AlgoState(state.k + 1, x1, y1, v1, z=z), g, z, f1
 
 
 _CORES = {
@@ -239,7 +280,7 @@ def step_nag_phase(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -
 def step_mnag(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
     """Monotone variant: accept z_k = y_k - s*grad f(y_k) only if it does not
     increase f; ties accept z_k."""
-    return _mnag_core(state, oracle, s, r)[0]
+    return _mnag_core(state, oracle, s, r, oracle.value(state.x))[0]
 
 
 def step_fista(state: AlgoState, problem: CompositeObjective, s: float, r: float) -> AlgoState:
@@ -249,7 +290,7 @@ def step_fista(state: AlgoState, problem: CompositeObjective, s: float, r: float
 
 def step_mfista(state: AlgoState, problem: CompositeObjective, s: float, r: float) -> AlgoState:
     """Monotone proximal variant; the comparison is on phi = f + g."""
-    return _mfista_core(state, problem, s, r)[0]
+    return _mfista_core(state, problem, s, r, problem.phi_value(state.x))[0]
 
 
 def step_nag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
@@ -259,7 +300,7 @@ def step_nag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
 
 def step_mnag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
     """Monotone constant-momentum variant; note the full (z - x') correction."""
-    return _mnag_sc_core(state, oracle, s, None)[0]
+    return _mnag_sc_core(state, oracle, s, None, oracle.value(state.x))[0]
 
 
 def _resolve_work_problem(problem: Problem, algo: str):
@@ -289,7 +330,9 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
 
     The trace has iters + 1 records; record k stores the first-order map at
     y_k that the transition consumed (for the final record it is evaluated
-    once more, which is exact since oracles are pure).
+    once more, which is exact since oracles are pure). f is evaluated once
+    per step: at x_{k+1}, or for monotone schemes at z_k, whose comparison
+    decides f(x_{k+1}).
     """
     work, oracle = _resolve_work_problem(problem, params.algo)
     require_step(params.step, oracle.lipschitz)
@@ -299,23 +342,27 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     s = params.step
     r = params.momentum_r
     core = _CORES[params.algo]
+    monotone = params.algo in MONOTONE_ALGOS
     value = work.phi_value if isinstance(work, CompositeObjective) else work.value
 
     state = initial_state(x0)
+    fx = value(state.x)
     records = []
     for k in range(params.iters):
-        new_state, m, z = core(state, work, s, r)
-        records.append(
-            TraceRecord(k, state.x, state.y, state.v, value(state.x), m, z)
-        )
-        state = new_state
+        if monotone:
+            new_state, m, z, f1 = core(state, work, s, r, fx)
+        else:
+            new_state, m, z = core(state, work, s, r)
+            f1 = value(new_state.x)
+        records.append(TraceRecord(k, state.x, state.y, state.v, fx, m, z))
+        state, fx = new_state, f1
     records.append(
         TraceRecord(
             params.iters,
             state.x,
             state.y,
             state.v,
-            value(state.x),
+            fx,
             _final_map(work, state.y, s),
             None,
         )

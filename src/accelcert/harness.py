@@ -230,38 +230,44 @@ def run_experiment(cfg: ExperimentConfig):
     certificate = None
     if cfg.certify:
         certificate = lyapunov.certify(trace, problem, optimum, form=cfg.energy_form)
-        with open(cfg.certificate_path, "w") as fh:
-            json.dump(lyapunov.certificate_to_dict(certificate), fh)
-            fh.write("\n")
+        _write_json(cfg.certificate_path, lyapunov.certificate_to_dict(certificate))
     emit_trace(trace, cfg.format, cfg.trace_path, optimum=optimum, certificate=certificate)
     return trace, certificate
 
 
-def _violations(trace: Trace) -> list[int]:
-    flags = [0]
-    values = [rec.f_or_phi_at_x for rec in trace.records]
-    for k in range(1, len(values)):
-        flags.append(1 if values[k] > values[k - 1] else 0)
-    return flags
+def _write_json(path: str, payload) -> None:
+    # json.dumps runs the C encoder; json.dump to a file handle does not.
+    # Payloads are trees built fresh here, so the cycle check is skipped.
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, check_circular=False))
+        fh.write("\n")
+
+
+def _violations(f: np.ndarray) -> list[int]:
+    """1 where f rose from the previous record, else 0 (record 0 is 0)."""
+    return [0] + (f[1:] > f[:-1]).astype(int).tolist()
 
 
 def _row_fields(trace: Trace, optimum, certificate):
-    energies = {}
-    bounds = {}
+    """Per-record columns as lists: k, f_gap, grad_norm, monotone_violation,
+    energy and bound (None where the certificate has no value)."""
+    cols = trace.columns
+    ks = [rec.k for rec in trace.records]
+    energies, bounds = {}, {}
     if certificate is not None:
-        for row in certificate.rows:
-            energies[row.k] = row.energy
-            bounds[row.k] = row.bound
-    flags = _violations(trace)
-    for rec in trace.records:
-        yield (
-            rec,
-            rec.f_or_phi_at_x - optimum.f_star,
-            float(np.linalg.norm(rec.first_order_at_y)),
-            flags[rec.k],
-            energies.get(rec.k),
-            bounds.get(rec.k),
-        )
+        energies = {row.k: row.energy for row in certificate.rows}
+        bounds = {row.k: row.bound for row in certificate.rows}
+    # np.linalg.norm of a vector is sqrt(m . m); one np.dot per row keeps
+    # its rounding, which a reduction over axis 1 does not.
+    grad_norm = np.sqrt(list(map(np.dot, cols.map, cols.map)))
+    return (
+        ks,
+        (cols.f - optimum.f_star).tolist(),
+        grad_norm.tolist(),
+        _violations(cols.f),
+        [energies.get(k) for k in ks],
+        [bounds.get(k) for k in ks],
+    )
 
 
 def _fmt(value) -> str:
@@ -278,7 +284,9 @@ def emit_trace(trace: Trace, fmt: str, path: str, *, optimum, certificate=None) 
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
-    d = trace.records[0].x.size
+    cols = trace.columns
+    d = cols.x.shape[1]
+    ks, f_gaps, grad_norms, flags, energies, bounds = _row_fields(trace, optimum, certificate)
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -288,17 +296,20 @@ def emit_trace(trace: Trace, fmt: str, path: str, *, optimum, certificate=None) 
                 + [f"y{i}" for i in range(d)]
                 + ["monotone_violation", "energy", "bound"]
             )
-            for rec, f_gap, grad_norm, flag, e_k, b_k in _row_fields(
-                trace, optimum, certificate
-            ):
-                writer.writerow(
-                    [rec.k, _fmt(f_gap), _fmt(grad_norm)]
-                    + [_fmt(v) for v in rec.x]
-                    + [_fmt(v) for v in rec.y]
-                    + [flag, _fmt(e_k), _fmt(b_k)]
+            writer.writerows(
+                [k, _fmt(f_gap), _fmt(grad_norm)]
+                + [_fmt(v) for v in x]
+                + [_fmt(v) for v in y]
+                + [flag, _fmt(e_k), _fmt(b_k)]
+                for k, f_gap, grad_norm, x, y, flag, e_k, b_k in zip(
+                    ks, f_gaps, grad_norms, cols.x.tolist(), cols.y.tolist(),
+                    flags, energies, bounds,
                 )
+            )
         return
 
+    z_rows = iter(np.array([rec.z for rec in trace.records if rec.z is not None]).tolist())
+    zs = [None if rec.z is None else next(z_rows) for rec in trace.records]
     payload = {
         "kind": "accelcert-trace",
         "problem_id": trace.problem_id,
@@ -310,31 +321,51 @@ def emit_trace(trace: Trace, fmt: str, path: str, *, optimum, certificate=None) 
         },
         "records": [
             {
-                "k": rec.k,
-                "x": list(rec.x),
-                "y": list(rec.y),
-                "v": list(rec.v),
-                "z": None if rec.z is None else list(rec.z),
-                "f": rec.f_or_phi_at_x,
-                "map": list(rec.first_order_at_y),
+                "k": k,
+                "x": x,
+                "y": y,
+                "v": v,
+                "z": z,
+                "f": f,
+                "map": m,
                 "f_gap": f_gap,
                 "grad_norm": grad_norm,
                 "monotone_violation": flag,
                 "energy": e_k,
                 "bound": b_k,
             }
-            for rec, f_gap, grad_norm, flag, e_k, b_k in _row_fields(
-                trace, optimum, certificate
+            for k, x, y, v, z, f, m, f_gap, grad_norm, flag, e_k, b_k in zip(
+                ks, cols.x.tolist(), cols.y.tolist(), cols.v.tolist(), zs, cols.f.tolist(),
+                cols.map.tolist(), f_gaps, grad_norms, flags, energies, bounds,
             )
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    _write_json(path, payload)
+
+
+def _trace_column(records, key: str, path: str) -> np.ndarray:
+    """One field over all records as a float array; ragged records, values
+    that are not JSON numbers, and non-finite values are usage errors."""
+    try:
+        col = np.array([rec[key] for rec in records])
+    except KeyError as exc:
+        raise UsageError(f"trace {path!r} is missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed trace {path!r}: field {key!r}: {exc}") from exc
+    if col.size and col.dtype.kind not in "iuf":
+        raise UsageError(f"trace {path!r}: field {key!r} holds values that are not numbers")
+    col = col.astype(float)
+    if not np.all(np.isfinite(col)):
+        raise UsageError(f"trace {path!r}: field {key!r} holds non-finite values")
+    return col
 
 
 def load_trace(path: str) -> Trace:
-    """Re-ingest a JSON trace written by emit_trace (CSV is plot-only)."""
+    """Re-ingest a JSON trace written by emit_trace (CSV is plot-only).
+
+    Every record must carry k equal to its index, finite vectors of one
+    dimension and a finite f, and there must be params.iters + 1 records.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -349,33 +380,41 @@ def load_trace(path: str) -> Trace:
         params = RunParams(
             algo=raw["algo"], step=raw["step"], iters=raw["iters"], momentum_r=raw["momentum_r"]
         )
-        records = tuple(
-            TraceRecord(
-                k=rec["k"],
-                x=np.asarray(rec["x"], dtype=float),
-                y=np.asarray(rec["y"], dtype=float),
-                v=np.asarray(rec["v"], dtype=float),
-                f_or_phi_at_x=float(rec["f"]),
-                first_order_at_y=np.asarray(rec["map"], dtype=float),
-                z=None if rec["z"] is None else np.asarray(rec["z"], dtype=float),
-            )
-            for rec in payload["records"]
-        )
+        records = payload["records"]
         problem_id = payload["problem_id"]
+        ks = [rec["k"] for rec in records]
+        with_z = [i for i, rec in enumerate(records) if rec["z"] is not None]
     except KeyError as exc:
         raise UsageError(f"trace {path!r} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed trace {path!r}: {exc}") from exc
-    if not records or records[0].x.ndim != 1:
+    if len(records) != params.iters + 1:
+        raise UsageError(
+            f"trace {path!r} has {len(records)} records, params.iters + 1 = {params.iters + 1}"
+        )
+    bad_k = next((i for i, k in enumerate(ks) if type(k) is not int or k != i), None)
+    if bad_k is not None:
+        raise UsageError(f"trace {path!r}: record {bad_k} has k = {ks[bad_k]!r}")
+    x, y, v, m = (_trace_column(records, key, path) for key in ("x", "y", "v", "map"))
+    f = _trace_column(records, "f", path)
+    z = _trace_column([records[i] for i in with_z], "z", path)
+    if x.ndim != 2:
         raise UsageError(f"trace {path!r} has no records of vector iterates")
-    shape = records[0].x.shape
-    for rec in records:
-        vectors = [rec.x, rec.y, rec.v, rec.first_order_at_y] + ([] if rec.z is None else [rec.z])
-        if any(v.shape != shape for v in vectors):
-            raise UsageError(
-                f"trace {path!r}: record {rec.k} does not have dimension {shape[0]}"
-            )
-    return Trace(params=params, problem_id=problem_id, records=records)
+    if any(col.shape != x.shape for col in (y, v, m)) or (
+        with_z and z.shape != (len(with_z), x.shape[1])
+    ) or f.shape != (len(records),):
+        raise UsageError(
+            f"trace {path!r}: records need vectors of dimension {x.shape[1]} and a scalar f"
+        )
+    zs = dict(zip(with_z, z))
+    return Trace(
+        params=params,
+        problem_id=problem_id,
+        records=tuple(
+            TraceRecord(k, xk, yk, vk, fk, mk, zs.get(k))
+            for k, (xk, yk, vk, fk, mk) in enumerate(zip(x, y, v, f.tolist(), m))
+        ),
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,12 +494,9 @@ def _cmd_certify(args) -> int:
     certificate = lyapunov.certify(trace, problem, optimum, form=args.energy_form)
     payload = lyapunov.certificate_to_dict(certificate)
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        _write_json(args.out, payload)
     else:
-        json.dump(payload, sys.stdout)
-        print()
+        print(json.dumps(payload, check_circular=False))
     if not certificate.overall_pass:
         k = lyapunov.first_failing_k(certificate)
         print(f"certificate: FAIL at k={k}", file=sys.stderr)

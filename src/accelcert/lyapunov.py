@@ -86,6 +86,13 @@ class EnergyBreakdown:
         return self.potential + self.mixed
 
 
+def _require_form(algo: str, form: str) -> None:
+    if form not in ("velocity", "xy"):
+        raise ParameterError(f"unknown energy form {form!r}")
+    if form == "velocity" and algo in MONOTONE_ALGOS:
+        raise ParameterError(f"velocity-form energy undefined for {algo}; use form='xy'")
+
+
 def energy(
     trace: Trace,
     k: int,
@@ -105,12 +112,7 @@ def energy(
     """
     if optimum is None:
         raise ParameterError("energy evaluation requires an optimum")
-    if form not in ("velocity", "xy"):
-        raise ParameterError(f"unknown energy form {form!r}")
-    if form == "velocity" and trace.params.algo in MONOTONE_ALGOS:
-        raise ParameterError(
-            f"velocity-form energy undefined for {trace.params.algo}; use form='xy'"
-        )
+    _require_form(trace.params.algo, form)
     rec = _record(trace, k)
     nxt = _record(trace, k + 1)
     x_star = optimum.x_star
@@ -122,6 +124,25 @@ def energy(
         vec = k * (rec.y - rec.x) + r * (rec.y - x_star) - (k + r) * s * m
     mixed = 0.5 * float(np.dot(vec, vec))
     return EnergyBreakdown(k=k, tau=tau(k, r), potential=pot, mixed=mixed)
+
+
+def _energies(cols, s: float, r: float, optimum: OptimumInfo, form: str) -> np.ndarray:
+    """E(0..n-1) over a trace's columns, bit-identical to ``energy().total``.
+
+    The elementwise terms are built in energy()'s operation order; each
+    mixed term keeps its own np.dot, whose summation order is what energy()
+    rounds with.
+    """
+    n = len(cols.f) - 1
+    ks = np.arange(n, dtype=float)[:, None]
+    x, y, m = cols.x[:n], cols.y[:n], cols.map[:n]
+    x_star = optimum.x_star
+    if form == "velocity":
+        vecs = (ks - 1.0) * math.sqrt(s) * cols.v[:n] + r * (x - x_star) - s * (ks + r) * m
+    else:
+        vecs = ks * (y - x) + r * (y - x_star) - (ks + r) * s * m
+    potential = s * ((ks[:, 0] + 1.0) * (ks[:, 0] + r + 1.0)) * (cols.f[1:] - optimum.f_star)
+    return potential + 0.5 * np.array(list(map(np.dot, vecs, vecs)))
 
 
 def threshold_K(r: float) -> int:
@@ -220,6 +241,7 @@ def certify(
     r = trace.params.momentum_r
     mu, lipschitz = oracle.mu, oracle.lipschitz
     form = resolve_form(algo, form)
+    _require_form(algo, form)
     defaults = REFERENCE_TOLS if optimum.source == "reference-run" else ANALYTIC_TOLS
     rel = defaults[0] if rel_tol is None else rel_tol
     absolute = defaults[1] if abs_tol is None else abs_tol
@@ -232,44 +254,47 @@ def certify(
             f"got {n + 1}"
         )
 
+    cols = trace.columns
+    if cols.x.shape[1] != oracle.dim:
+        raise ParameterError(
+            f"trace has dimension {cols.x.shape[1]}, problem has dimension {oracle.dim}"
+        )
     f_star = optimum.f_star
-    f1_gap = trace.records[1].f_or_phi_at_x - f_star
-    diff1 = trace.records[1].x - optimum.x_star
+    f_gap = cols.f - f_star
+    f1_gap = float(f_gap[1])
+    diff1 = cols.x[1] - optimum.x_star
     x1_dist_sq = float(np.dot(diff1, diff1))
     shrink = 1.0 + mu * s * (1.0 - lipschitz * s) / 4.0
 
-    energies = [energy(trace, k, s, r, optimum, form).total for k in range(n)]
+    energies = _energies(cols, s, r, optimum, form)
+    # Bound for k = 1..n, as theorem_bound computes it; the power stays a
+    # Python float power, whose last bits np.power does not reproduce.
+    ks = np.arange(1, n + 1, dtype=float)
+    rate = rate_factor(mu, s, lipschitz)
+    numerator = (r + 1.0) * f1_gap + r * r * lipschitz * x1_dist_sq
+    bounds = numerator / (ks * (ks + r) * np.array([rate ** k for k in range(1, n + 1)]))
+    bound_ok = np.ones(n + 1, dtype=bool)
+    first = max(1, big_k)
+    bound_ok[first:] = f_gap[first:] <= bounds[first - 1:] * (1.0 + rel) + absolute
+    contracted = energies[:-1] / shrink
+    margins = contracted - energies[1:]
+    decrease_ok = np.ones(n + 1, dtype=bool)
+    decrease_ok[big_k:n - 1] = energies[big_k + 1:] <= contracted[big_k:] * (1.0 + rel) + absolute
+    overall = bool(bound_ok.all() and decrease_ok.all())
 
-    rows = []
-    overall = True
-    for k in range(n + 1):
-        f_gap = trace.records[k].f_or_phi_at_x - f_star
-        bound = None
-        bound_ok = True
-        if k >= 1:
-            bound = theorem_bound(k, r, s, mu, lipschitz, f1_gap, x1_dist_sq)
-            if k >= max(1, big_k):
-                bound_ok = f_gap <= bound * (1.0 + rel) + absolute
-        e_k = energies[k] if k < n else None
-        margin = None
-        decrease_ok = True
-        if k < n - 1:
-            margin = energies[k] / shrink - energies[k + 1]
-            if k >= big_k:
-                decrease_ok = energies[k + 1] <= (energies[k] / shrink) * (1.0 + rel) + absolute
-        overall = overall and bound_ok and decrease_ok
-        rows.append(
-            CertRow(
-                k=k,
-                f_gap=f_gap,
-                bound=bound,
-                bound_ok=bound_ok,
-                energy=e_k,
-                decrease_margin=margin,
-                decrease_ok=decrease_ok,
-            )
+    rows = tuple(
+        map(
+            CertRow,
+            range(n + 1),
+            f_gap.tolist(),
+            [None] + bounds.tolist(),
+            bound_ok.tolist(),
+            energies.tolist() + [None],
+            margins.tolist() + [None, None],
+            decrease_ok.tolist(),
         )
-    return Certificate(threshold_K=big_k, rows=tuple(rows), overall_pass=overall)
+    )
+    return Certificate(threshold_K=big_k, rows=rows, overall_pass=overall)
 
 
 def first_failing_k(certificate: Certificate) -> int | None:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -323,3 +324,41 @@ def test_fast_methods_converge_on_quad2d(quad2d):
         params = ac.RunParams(algo=algo, step=0.4, iters=200, momentum_r=2.0)
         trace = ac.run(oracle, params, [1.0, 1.0])
         assert trace.records[200].f_or_phi_at_x - optimum.f_star < 1e-6
+
+
+def test_trace_columns_stack_records_read_only(quad2d):
+    oracle, _ = quad2d
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=30, momentum_r=2.0)
+    trace = ac.run(oracle, params, [1.0, 1.0])
+    cols = trace.columns
+    assert cols is trace.columns
+    assert cols.x.shape == cols.y.shape == cols.v.shape == cols.map.shape == (31, 2)
+    assert cols.f.shape == (31,)
+    for k, rec in enumerate(trace.records):
+        assert np.array_equal(cols.x[k], rec.x) and np.array_equal(cols.y[k], rec.y)
+        assert np.array_equal(cols.v[k], rec.v)
+        assert np.array_equal(cols.map[k], rec.first_order_at_y)
+        assert cols.f[k] == rec.f_or_phi_at_x
+    with pytest.raises(ValueError):
+        cols.x[0, 0] = 0.0
+    shifted = dataclasses.replace(trace, records=trace.records[1:])
+    assert shifted.columns.x.shape == (30, 2)
+
+
+@pytest.mark.parametrize("algo", ["m-nag", "m-fista", "m-nag-sc"])
+def test_monotone_run_evaluates_f_once_per_step(quad2d, algo):
+    oracle, _ = quad2d
+    calls = []
+
+    def value(x):
+        calls.append(1)
+        return oracle.value(x)
+
+    counted = dataclasses.replace(oracle, value=value)
+    problem = ac.as_composite(counted) if algo == "m-fista" else counted
+    r = None if algo == "m-nag-sc" else 2.0
+    params = ac.RunParams(algo=algo, step=0.4, iters=40, momentum_r=r)
+    trace = ac.run(problem, params, [1.0, 1.0])
+    assert len(calls) == params.iters + 1
+    plain = ac.run(ac.as_composite(oracle) if algo == "m-fista" else oracle, params, [1.0, 1.0])
+    assert all(records_equal(ra, rb) for ra, rb in zip(trace.records, plain.records))

@@ -345,7 +345,57 @@ def _grow_record(payload):
     payload["records"][3]["x"].append(0.0)
 
 
-@pytest.mark.parametrize("mutate", [_drop_params, _drop_map, _grow_record])
+def _nan_x(payload):
+    payload["records"][4]["x"][0] = float("nan")
+
+
+def _inf_y(payload):
+    payload["records"][5]["y"][1] = float("inf")
+
+
+def _nan_v(payload):
+    payload["records"][3]["v"][0] = float("nan")
+
+
+def _nan_z(payload):
+    payload["records"][2]["z"] = [float("nan"), 0.0]
+
+
+def _inf_map(payload):
+    payload["records"][6]["map"][1] = float("-inf")
+
+
+def _nan_f(payload):
+    payload["records"][7]["f"] = float("nan")
+
+
+def _quoted_x(payload):
+    payload["records"][4]["x"] = [str(v) for v in payload["records"][4]["x"]]
+
+
+def _k_not_index(payload):
+    payload["records"][2]["k"] = "two"
+
+
+def _k_shifted(payload):
+    payload["records"][3]["k"] = 4
+
+
+def _iters_mismatch(payload):
+    payload["params"]["iters"] = 12
+
+
+def _drop_last_record(payload):
+    payload["records"].pop()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _drop_params, _drop_map, _grow_record, _nan_x, _inf_y, _nan_v, _nan_z, _inf_map,
+        _nan_f, _quoted_x, _k_not_index, _k_shifted, _iters_mismatch, _drop_last_record,
+    ],
+)
 def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
     tr = tmp_path / "t.json"
     harness.main(["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4",
@@ -362,3 +412,17 @@ def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_certify_rejects_problem_of_other_dimension(tmp_path, capsys):
+    tr = tmp_path / "t.json"
+    rc = harness.main(["run", "--problem", "quad-diag:1,2,3", "--algo", "nag", "--step", "0.1",
+                       "--r", "2", "--iters", "10", "--format", "json", "--trace-out", str(tr)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = harness.main(["certify", "--trace", str(tr), "--problem", "quad2d",
+                       "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "dimension" in err

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -250,3 +251,66 @@ def test_certificate_serialization_schema(nag_trace, quad2d):
     assert set(payload["rows"][0]) == {"k", "gap", "bound", "energy", "decrease_margin"}
     assert payload["rows"][0]["bound"] is None
     assert payload["rows"][-1]["energy"] is None
+
+
+# --- whole-array certificate against the per-k API ---------------------------
+
+DIAG50 = np.geomspace(5e-3, 1.0, 50)
+
+
+def _per_k_case(name, quad2d, lasso5):
+    if name == "quad2d":
+        problem, optimum = quad2d
+        return problem, optimum, S, R, [1.0, -0.5]
+    if name == "diag50":
+        problem, optimum = ac.make_quadratic(DIAG50)
+        return problem, optimum, S, R, np.random.default_rng(50).uniform(-1.0, 1.0, 50)
+    problem, optimum = lasso5
+    return problem, optimum, 0.9 / problem.smooth.lipschitz, 3.0, np.ones(5)
+
+
+@pytest.mark.parametrize(
+    "name,algo",
+    [(name, algo) for name in ("quad2d", "diag50") for algo in sorted(ly.CERTIFIABLE_ALGOS)]
+    + [("lasso5", "fista"), ("lasso5", "m-fista")],
+)
+def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, algo):
+    from accelcert.harness import emit_trace
+
+    problem, optimum, s, r, x0 = _per_k_case(name, quad2d, lasso5)
+    if algo in ("fista", "m-fista") and not isinstance(problem, ac.CompositeObjective):
+        problem = ac.as_composite(problem)
+    params = ac.RunParams(algo=algo, step=s, iters=300, momentum_r=r)
+    trace = ac.run(problem, params, x0, problem_id=name)
+    cert = ac.certify(trace, problem, optimum)
+    oracle = ly.smooth_part(problem)
+    form = ly.resolve_form(algo)
+    f1_gap = trace.records[1].f_or_phi_at_x - optimum.f_star
+    diff1 = trace.records[1].x - optimum.x_star
+    dist_sq = float(np.dot(diff1, diff1))
+    shrink = 1.0 + oracle.mu * s * (1.0 - oracle.lipschitz * s) / 4.0
+    energies = [ly.energy(trace, k, s, r, optimum, form).total for k in range(300)]
+    for k, row in enumerate(cert.rows):
+        assert row.k == k
+        assert row.f_gap == trace.records[k].f_or_phi_at_x - optimum.f_star
+        if k < 300:
+            assert row.energy == energies[k]
+        else:
+            assert row.energy is None
+        if k >= 1:
+            assert row.bound == ac.theorem_bound(
+                k, r, s, oracle.mu, oracle.lipschitz, f1_gap, dist_sq
+            )
+        else:
+            assert row.bound is None
+        if k < 299:
+            assert row.decrease_margin == energies[k] / shrink - energies[k + 1]
+        else:
+            assert row.decrease_margin is None
+
+    path = tmp_path / "t.json"
+    emit_trace(trace, "json", str(path), optimum=optimum, certificate=cert)
+    stored = json.loads(path.read_text())["records"]
+    for rec, out in zip(trace.records, stored):
+        assert out["grad_norm"] == float(np.linalg.norm(rec.first_order_at_y))
+

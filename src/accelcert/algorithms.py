@@ -346,7 +346,11 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     value = work.phi_value if isinstance(work, CompositeObjective) else work.value
 
     state = initial_state(x0)
-    fx = value(state.x)
+    # An overflow here is reported as the error below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fx = value(state.x)
+    if not math.isfinite(fx):
+        raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
     records = []
     for k in range(params.iters):
         if monotone:

@@ -30,6 +30,7 @@ from .algorithms import (
     ALGORITHMS,
     RunParams,
     Trace,
+    TraceColumns,
     TraceRecord,
     run,
 )
@@ -124,20 +125,51 @@ def parse_config(source) -> ExperimentConfig:
     raise UsageError(f"cannot parse config from {type(source).__name__}")
 
 
+_NUMBER = (int, float)
+_OPTIONAL_STR = (str, type(None))
+#: The value types a config mapping may hold, per ExperimentConfig field.
+_CONFIG_TYPES = {
+    "problem": str,
+    "algo": str,
+    "step": _NUMBER,
+    "iters": int,
+    "momentum_r": (*_NUMBER, type(None)),
+    "x0": (str, list, tuple),
+    "trace_path": _OPTIONAL_STR,
+    "certificate_path": _OPTIONAL_STR,
+    "format": str,
+    "certify": bool,
+    "energy_form": str,
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+
+
 def _config_from_mapping(payload: dict) -> ExperimentConfig:
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(payload) - known
+    if not isinstance(payload, dict):
+        raise UsageError(f"config must be a JSON object, got {type(payload).__name__}")
+    unknown = set(payload) - set(_CONFIG_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key in ("problem", "algo", "step"):
         if key not in payload:
             raise UsageError(f"config is missing required key {key!r}")
+    for key, value in payload.items():
+        # bool is an int subclass; it is a value only for "certify".
+        if not isinstance(value, _CONFIG_TYPES[key]) or (
+            isinstance(value, bool) and key != "certify"
+        ):
+            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
     payload = dict(payload)
     x0 = payload.get("x0", "ones")
     if isinstance(x0, str):
         payload["x0"] = _parse_x0(x0)
-    else:
+    elif all(map(_is_number, x0)):
         payload["x0"] = tuple(float(v) for v in x0)
+    else:
+        raise UsageError(f"config key 'x0' must be 'ones' or a list of numbers, got {x0!r}")
     cfg = ExperimentConfig(**payload)
     if cfg.algo in R_FAMILY_ALGOS and cfg.momentum_r is None:
         cfg = replace(cfg, momentum_r=DEFAULT_R)
@@ -230,17 +262,11 @@ def run_experiment(cfg: ExperimentConfig):
     certificate = None
     if cfg.certify:
         certificate = lyapunov.certify(trace, problem, optimum, form=cfg.energy_form)
-        _write_json(cfg.certificate_path, lyapunov.certificate_to_dict(certificate))
-    emit_trace(trace, cfg.format, cfg.trace_path, optimum=optimum, certificate=certificate)
+    emit_trace(
+        trace, cfg.format, cfg.trace_path, optimum=optimum, certificate=certificate,
+        certificate_path=cfg.certificate_path if certificate is not None else None,
+    )
     return trace, certificate
-
-
-def _write_json(path: str, payload) -> None:
-    # json.dumps runs the C encoder; json.dump to a file handle does not.
-    # Payloads are trees built fresh here, so the cycle check is skipped.
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload, check_circular=False))
-        fh.write("\n")
 
 
 def _violations(f: np.ndarray) -> list[int]:
@@ -248,22 +274,26 @@ def _violations(f: np.ndarray) -> list[int]:
     return [0] + (f[1:] > f[:-1]).astype(int).tolist()
 
 
+def _grad_norm(cols) -> np.ndarray:
+    # np.linalg.norm of a vector is sqrt(m . m); one np.dot per row keeps
+    # its rounding, which a reduction over axis 1 does not.
+    return np.sqrt(list(map(np.dot, cols.map, cols.map)))
+
+
 def _row_fields(trace: Trace, optimum, certificate):
-    """Per-record columns as lists: k, f_gap, grad_norm, monotone_violation,
-    energy and bound (None where the certificate has no value)."""
+    """Per-record CSV columns as lists: k, f_gap, grad_norm,
+    monotone_violation, energy and bound (None where the certificate has no
+    value)."""
     cols = trace.columns
     ks = [rec.k for rec in trace.records]
     energies, bounds = {}, {}
     if certificate is not None:
         energies = {row.k: row.energy for row in certificate.rows}
         bounds = {row.k: row.bound for row in certificate.rows}
-    # np.linalg.norm of a vector is sqrt(m . m); one np.dot per row keeps
-    # its rounding, which a reduction over axis 1 does not.
-    grad_norm = np.sqrt(list(map(np.dot, cols.map, cols.map)))
     return (
         ks,
         (cols.f - optimum.f_star).tolist(),
-        grad_norm.tolist(),
+        _grad_norm(cols).tolist(),
         _violations(cols.f),
         [energies.get(k) for k in ks],
         [bounds.get(k) for k in ks],
@@ -274,73 +304,205 @@ def _fmt(value) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-def emit_trace(trace: Trace, fmt: str, path: str, *, optimum, certificate=None) -> None:
-    """Write a trace to disk.
+# JSON writes. The trace and certificate of one call are rendered from one
+# table of float tokens: each distinct float64 bit pattern among all the
+# floats they hold is formatted once, as json.dumps formats it, and the
+# records are filled into a % template RENDER_CHUNK at a time. The bytes
+# are those of json.dumps over the per-record dict trees, which
+# certificate_to_dict still describes.
+
+#: Records (or certificate rows) rendered per write.
+RENDER_CHUNK = 1000
+
+#: The float formatter json.dumps uses for finite values.
+_format_float = float.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_FLAGS = np.array(["0", "1"], dtype=object)
+
+_CERT_FIELDS = ("f_gap", "bound", "energy", "decrease_margin")
+_CERT_ROW = '{"k": %s, "gap": %s, "bound": %s, "energy": %s, "decrease_margin": %s}'
+
+
+def _float_tokens(*columns) -> list[np.ndarray]:
+    """JSON tokens of float arrays, as object arrays of the same shapes.
+
+    The formatter runs once per distinct bit pattern over all the columns,
+    so -0.0 and 0.0 keep their own tokens and NaN, Infinity and -Infinity
+    are spelled as json.dumps spells them.
+    """
+    arrays = [np.asarray(col, dtype=float) for col in columns]
+    bits = np.concatenate([a.ravel() for a in arrays]).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    values = distinct.view(np.float64)
+    table = np.array(list(map(_format_float, values.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(values)):
+        table[i] = _NON_FINITE[table[i]]
+    tokens = table[inverse.ravel()]
+    ends = np.cumsum([a.size for a in arrays])
+    return [part.reshape(a.shape) for part, a in zip(np.split(tokens, ends[:-1]), arrays)]
+
+
+def _certificate_columns(certificate) -> list[tuple[np.ndarray, np.ndarray]]:
+    """gap, bound, energy and decrease_margin over the certificate's rows:
+    per field the float values of the rows that have one, and their mask."""
+    columns = []
+    for name in _CERT_FIELDS:
+        values = [getattr(row, name) for row in certificate.rows]
+        present = np.array([value is not None for value in values], dtype=bool)
+        columns.append((np.array(values, dtype=float)[present], present))
+    return columns
+
+
+def _with_nulls(tokens: np.ndarray, present: np.ndarray) -> np.ndarray:
+    out = np.full(present.shape, "null", dtype=object)
+    out[present] = tokens
+    return out
+
+
+def _json_head(payload: dict, rows_key: str) -> str:
+    """json.dumps(payload) opened for a trailing list under ``rows_key``."""
+    return json.dumps(payload, check_circular=False)[:-1] + f", {json.dumps(rows_key)}: ["
+
+
+def _write_rows(fh, head: str, templates, tokens: np.ndarray) -> None:
+    """Write ``head``, row i of ``tokens`` filled into ``templates[i]`` with
+    rows joined by ", ", and the closing "]}" and newline."""
+    fh.write(head)
+    for start in range(0, len(tokens), RENDER_CHUNK):
+        chunk = slice(start, start + RENDER_CHUNK)
+        text = ", ".join(templates[chunk]) % tuple(tokens[chunk].ravel().tolist())
+        fh.write(", " + text if start else text)
+    fh.write("]}\n")
+
+
+def _write_certificate(fh, certificate, columns=None, tokens=None) -> None:
+    """Write json.dumps(certificate_to_dict(certificate)) and a newline.
+
+    ``columns`` and ``tokens`` are the certificate's float columns and their
+    tokens from a table shared with the trace; without them the
+    certificate gets a table of its own.
+    """
+    if columns is None:
+        columns = _certificate_columns(certificate)
+        tokens = _float_tokens(*(values for values, _ in columns))
+    ks = np.array([str(row.k) for row in certificate.rows], dtype=object)
+    matrix = np.column_stack(
+        [ks] + [_with_nulls(tok, present) for tok, (_, present) in zip(tokens, columns)]
+    )
+    head = _json_head(
+        {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
+    )
+    _write_rows(fh, head, [_CERT_ROW] * len(matrix), matrix)
+
+
+def _record_templates(d: int) -> np.ndarray:
+    """The % templates of a JSON trace record without and with z. Without
+    z, the z slots take "%.0s", which consumes an (empty) token and prints
+    nothing, so every record has the same number of tokens."""
+    vec = "[" + ", ".join(["%s"] * d) + "]"
+    record = (
+        '{"k": %s, "x": VEC, "y": VEC, "v": VEC, "z": Z, "f": %s, "map": VEC, '
+        '"f_gap": %s, "grad_norm": %s, "monotone_violation": %s, "energy": %s, "bound": %s}'
+    ).replace("VEC", vec)
+    return np.array(
+        [record.replace("Z", "null" + "%.0s" * d), record.replace("Z", vec)], dtype=object
+    )
+
+
+def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate_path) -> None:
+    cols = trace.columns
+    n_records, d = cols.x.shape
+    records = trace.records
+    ks = [rec.k for rec in records]
+    with_z = np.array([rec.z is not None for rec in records], dtype=bool)
+    z = np.array([rec.z for rec in records if rec.z is not None], dtype=float).reshape(-1, d)
+    floats = [cols.x, cols.y, cols.v, z, cols.f, cols.map, cols.f - optimum.f_star,
+              _grad_norm(cols)]
+    energy = bound = np.full(n_records, "null", dtype=object)
+    cert_columns = []
+    if certificate is not None:
+        if [row.k for row in certificate.rows] != ks:
+            raise UsageError("the certificate's rows do not match the trace's records")
+        cert_columns = _certificate_columns(certificate)
+        floats += [values for values, _ in cert_columns]
+    tokens = _float_tokens(*floats)
+    x, y, v, z, f, m, f_gap, grad_norm = tokens[:8]
+    cert_tokens = tokens[8:]
+    if certificate is not None:
+        # _CERT_FIELDS order: gap, bound, energy, decrease_margin.
+        bound = _with_nulls(cert_tokens[1], cert_columns[1][1])
+        energy = _with_nulls(cert_tokens[2], cert_columns[2][1])
+        if certificate_path is not None:
+            with open(certificate_path, "w") as fh:
+                _write_certificate(fh, certificate, cert_columns, cert_tokens)
+
+    z_slots = np.full((n_records, d), "", dtype=object)
+    z_slots[with_z] = z
+    matrix = np.column_stack([
+        np.array(list(map(str, ks)), dtype=object),
+        x, y, v, z_slots, f, m, f_gap, grad_norm, _FLAGS[_violations(cols.f)], energy, bound,
+    ])
+    params = trace.params
+    head = _json_head(
+        {
+            "kind": "accelcert-trace",
+            "problem_id": trace.problem_id,
+            "params": {
+                "algo": params.algo,
+                "step": params.step,
+                "iters": params.iters,
+                "momentum_r": params.momentum_r,
+            },
+        },
+        "records",
+    )
+    with open(path, "w") as fh:
+        _write_rows(fh, head, _record_templates(d)[with_z.astype(int)], matrix)
+
+
+def emit_trace(
+    trace: Trace, fmt: str, path: str, *, optimum, certificate=None, certificate_path=None
+) -> None:
+    """Write a trace to disk, and its certificate to ``certificate_path``.
 
     CSV columns: k, f_gap, grad_norm, x..., y..., monotone_violation,
     energy, bound (the last two blank unless a certificate is supplied).
     JSON mirrors those fields and adds the full per-iteration state, with
-    floats at 17 significant digits so reloading is bit-faithful.
+    floats written as their repr so reloading is bit-faithful. The
+    certificate is JSON in both cases; with a JSON trace the two share one
+    table of float tokens.
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
+    if certificate_path is not None and certificate is None:
+        raise UsageError("a certificate path needs a certificate")
+    if fmt == "json":
+        _write_json_trace(trace, path, optimum, certificate, certificate_path)
+        return
+    if certificate_path is not None:
+        with open(certificate_path, "w") as fh:
+            _write_certificate(fh, certificate)
     cols = trace.columns
     d = cols.x.shape[1]
     ks, f_gaps, grad_norms, flags, energies, bounds = _row_fields(trace, optimum, certificate)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "f_gap", "grad_norm"]
-                + [f"x{i}" for i in range(d)]
-                + [f"y{i}" for i in range(d)]
-                + ["monotone_violation", "energy", "bound"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["k", "f_gap", "grad_norm"]
+            + [f"x{i}" for i in range(d)]
+            + [f"y{i}" for i in range(d)]
+            + ["monotone_violation", "energy", "bound"]
+        )
+        writer.writerows(
+            [k, _fmt(f_gap), _fmt(grad_norm)]
+            + [_fmt(v) for v in x]
+            + [_fmt(v) for v in y]
+            + [flag, _fmt(e_k), _fmt(b_k)]
+            for k, f_gap, grad_norm, x, y, flag, e_k, b_k in zip(
+                ks, f_gaps, grad_norms, cols.x.tolist(), cols.y.tolist(),
+                flags, energies, bounds,
             )
-            writer.writerows(
-                [k, _fmt(f_gap), _fmt(grad_norm)]
-                + [_fmt(v) for v in x]
-                + [_fmt(v) for v in y]
-                + [flag, _fmt(e_k), _fmt(b_k)]
-                for k, f_gap, grad_norm, x, y, flag, e_k, b_k in zip(
-                    ks, f_gaps, grad_norms, cols.x.tolist(), cols.y.tolist(),
-                    flags, energies, bounds,
-                )
-            )
-        return
-
-    z_rows = iter(np.array([rec.z for rec in trace.records if rec.z is not None]).tolist())
-    zs = [None if rec.z is None else next(z_rows) for rec in trace.records]
-    payload = {
-        "kind": "accelcert-trace",
-        "problem_id": trace.problem_id,
-        "params": {
-            "algo": trace.params.algo,
-            "step": trace.params.step,
-            "iters": trace.params.iters,
-            "momentum_r": trace.params.momentum_r,
-        },
-        "records": [
-            {
-                "k": k,
-                "x": x,
-                "y": y,
-                "v": v,
-                "z": z,
-                "f": f,
-                "map": m,
-                "f_gap": f_gap,
-                "grad_norm": grad_norm,
-                "monotone_violation": flag,
-                "energy": e_k,
-                "bound": b_k,
-            }
-            for k, x, y, v, z, f, m, f_gap, grad_norm, flag, e_k, b_k in zip(
-                ks, cols.x.tolist(), cols.y.tolist(), cols.v.tolist(), zs, cols.f.tolist(),
-                cols.map.tolist(), f_gaps, grad_norms, flags, energies, bounds,
-            )
-        ],
-    }
-    _write_json(path, payload)
+        )
 
 
 def _trace_column(records, key: str, path: str) -> np.ndarray:
@@ -406,8 +568,10 @@ def load_trace(path: str) -> Trace:
         raise UsageError(
             f"trace {path!r}: records need vectors of dimension {x.shape[1]} and a scalar f"
         )
+    for col in (x, y, v, m, f):
+        col.setflags(write=False)
     zs = dict(zip(with_z, z))
-    return Trace(
+    trace = Trace(
         params=params,
         problem_id=problem_id,
         records=tuple(
@@ -415,6 +579,11 @@ def load_trace(path: str) -> Trace:
             for k, (xk, yk, vk, fk, mk) in enumerate(zip(x, y, v, f.tolist(), m))
         ),
     )
+    # The records are row views of the validated arrays, so those arrays
+    # are the trace's columns; filling the cached property's slot spares
+    # the first certify from stacking the rows again.
+    trace.__dict__["columns"] = TraceColumns(x=x, y=y, v=v, map=m, f=f)
+    return trace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -459,10 +628,10 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     trace, certificate = run_experiment(cfg)
-    gap = trace.records[-1].f_or_phi_at_x - trace.records[0].f_or_phi_at_x
+    drop = trace.records[0].f_or_phi_at_x - trace.records[-1].f_or_phi_at_x
     print(
         f"run {cfg.algo} on {cfg.problem}: {cfg.iters} iterations, "
-        f"f drop {gap:.6g} -> {cfg.trace_path}"
+        f"f drop {drop:.6g} -> {cfg.trace_path}"
     )
     if certificate is not None:
         if not certificate.overall_pass:
@@ -492,11 +661,11 @@ def _cmd_certify(args) -> int:
     ):
         problem = as_composite(problem)
     certificate = lyapunov.certify(trace, problem, optimum, form=args.energy_form)
-    payload = lyapunov.certificate_to_dict(certificate)
     if args.out:
-        _write_json(args.out, payload)
+        with open(args.out, "w") as fh:
+            _write_certificate(fh, certificate)
     else:
-        print(json.dumps(payload, check_circular=False))
+        _write_certificate(sys.stdout, certificate)
     if not certificate.overall_pass:
         k = lyapunov.first_failing_k(certificate)
         print(f"certificate: FAIL at k={k}", file=sys.stderr)

@@ -229,7 +229,8 @@ def certify(
     k = 1), the energy E(k), and the raw decrease margin
     E(k)/(1 + mu*s*(1-L*s)/4) - E(k+1). Flags apply relative plus absolute
     slack; defaults are (1e-8, 1e-12) for analytic optima and (1e-6, 1e-9)
-    for reference-run optima, whose f* carries solver error.
+    for reference-run optima, whose f* carries solver error. A row whose
+    gap, bound or energy is not finite fails at any k.
     """
     algo = trace.params.algo
     if algo not in CERTIFIABLE_ALGOS:
@@ -280,6 +281,11 @@ def certify(
     margins = contracted - energies[1:]
     decrease_ok = np.ones(n + 1, dtype=bool)
     decrease_ok[big_k:n - 1] = energies[big_k + 1:] <= contracted[big_k:] * (1.0 + rel) + absolute
+    # A row with a non-finite gap, bound or energy fails at any k: an
+    # overflowed trace must not pass on inf <= inf.
+    bound_ok &= np.isfinite(f_gap)
+    bound_ok[1:] &= np.isfinite(bounds)
+    decrease_ok[:n] &= np.isfinite(energies)
     overall = bool(bound_ok.all() and decrease_ok.all())
 
     rows = tuple(

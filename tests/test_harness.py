@@ -426,3 +426,74 @@ def test_certify_rejects_problem_of_other_dimension(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "dimension" in err
+
+
+def test_overflowing_start_point_is_a_usage_error(tmp_path, capsys):
+    rc = harness.main(["run", "--problem", "quad2d", "--algo", "m-nag", "--step", "0.4",
+                       "--r", "2", "--iters", "5", "--x0=1e200,1", "--format", "json",
+                       "--certify", "--trace-out", str(tmp_path / "t.json"),
+                       "--certificate-out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_run_prints_f_drop_as_start_minus_end(tmp_path, capsys):
+    argv = ["run", "--problem", "quad2d", "--algo", "m-nag", "--step", "0.4", "--r", "2",
+            "--iters", "30", "--format", "json", "--trace-out", str(tmp_path / "t.json")]
+    assert harness.main(argv) == 0
+    out = capsys.readouterr().out
+    drop = float(out.split("f drop ")[1].split()[0])
+    records = load_trace(str(tmp_path / "t.json")).records
+    assert drop > 0.0
+    assert drop == float(f"{records[0].f_or_phi_at_x - records[-1].f_or_phi_at_x:.6g}")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "x0": ["a", 1]},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "x0": 5},
+        {"problem": "quad2d", "algo": "nag", "step": "abc"},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "iters": "10"},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "iters": 2.5},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "momentum_r": "x"},
+        {"problem": 5, "algo": "nag", "step": 0.4},
+        [1, 2],
+    ],
+)
+def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    rc = harness.main(["run", "--config", str(path), "--trace-out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_config_types_cover_every_config_field():
+    assert set(harness._CONFIG_TYPES) == set(ExperimentConfig.__dataclass_fields__)
+
+
+def test_loaded_trace_columns_are_the_validated_arrays(tmp_path, quad2d):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=25, momentum_r=2.0)
+    trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
+    path = tmp_path / "t.json"
+    emit_trace(trace, "json", str(path), optimum=optimum)
+    loaded = load_trace(str(path))
+    cols = loaded.columns
+    recs = loaded.records
+    for name, col, stacked in [
+        ("x", cols.x, [rec.x for rec in recs]),
+        ("y", cols.y, [rec.y for rec in recs]),
+        ("v", cols.v, [rec.v for rec in recs]),
+        ("map", cols.map, [rec.first_order_at_y for rec in recs]),
+        ("f", cols.f, [rec.f_or_phi_at_x for rec in recs]),
+    ]:
+        assert not col.flags.writeable, name
+        assert np.array_equal(col, np.array(stacked)), name
+    assert all(np.shares_memory(cols.x, rec.x) for rec in recs)
+    assert np.shares_memory(cols.map, recs[3].first_order_at_y)
+    assert np.array_equal(cols.x, trace.columns.x)

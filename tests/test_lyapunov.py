@@ -314,3 +314,15 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
     for rec, out in zip(trace.records, stored):
         assert out["grad_norm"] == float(np.linalg.norm(rec.first_order_at_y))
 
+
+
+def test_certify_fails_a_row_with_infinite_f(nag_trace, quad2d):
+    # f(x_1) = inf makes every bound inf, and inf <= inf would hold.
+    records = list(nag_trace.records)
+    records[1] = dataclasses.replace(records[1], f_or_phi_at_x=math.inf)
+    overflowed = dataclasses.replace(nag_trace, records=tuple(records))
+    cert = ac.certify(overflowed, quad2d[0], quad2d[1])
+    assert not cert.overall_pass
+    assert ly.first_failing_k(cert) == 0
+    assert not cert.rows[1].bound_ok
+    assert not cert.rows[0].decrease_ok

@@ -6,6 +6,21 @@ a comparison step, their proximal counterparts for composite objectives,
 and the constant-momentum pair for known strong convexity. Velocity is
 always the scaled difference v_k = (x_k - x_{k-1}) / sqrt(s) with v_0 = 0.
 
+Seven of them are one kernel, y' = x' + beta_k (x' - x) + gamma_k (z - x'),
+where z and the first-order map at y_k come from one proximal step from y_k
+(smooth problems get a zero regularizer, so the step is a gradient step)
+and x' = z unless a monotone scheme's comparison keeps x_k:
+
+    scheme            beta_k                            gamma_k
+    gd                absent (y' = x')                  absent
+    nag, fista        k/(k+r+1)                         absent
+    m-nag, m-fista    k/(k+r+1)                         (k+r)/(k+r+1)
+    nag-sc            (1-sqrt(mu s))/(1+sqrt(mu s))     absent
+    m-nag-sc          (1-sqrt(mu s))/(1+sqrt(mu s))     1
+
+nag-phase keeps its own position-velocity transition: it is the
+independent form that the two-point nag trajectory is checked against.
+
 Step functions return a fresh state and never mutate their inputs; the
 runner is deterministic, so identical inputs give bit-identical traces.
 """
@@ -13,14 +28,15 @@ runner is deterministic, so identical inputs give bit-identical traces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import InvalidProblemError, ParameterError
-from .problems import CompositeObjective, Problem, SmoothOracle, Vector, _as_vector
-from .proximal import require_step, soft_threshold
+from .problems import CompositeObjective, Problem, SmoothOracle, Vector, _as_vector, as_composite
+from .proximal import prox_step, require_step
 
 ALGORITHMS = (
     "gd",
@@ -51,6 +67,11 @@ class AlgoState:
     z: Vector | None = None
 
 
+def _is_a(value, kind) -> bool:
+    # bool is an Integral, but True is not an iteration count or a step.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunParams:
     algo: str
@@ -60,7 +81,15 @@ class RunParams:
 
     def __post_init__(self):
         if self.algo not in ALGORITHMS:
-            raise ParameterError(f"unknown algorithm {self.algo!r}")
+            raise ParameterError(
+                f"unknown algorithm {self.algo!r}; choose from {', '.join(ALGORITHMS)}"
+            )
+        if not _is_a(self.iters, numbers.Integral):
+            raise ParameterError(f"iters must be an integer, got {self.iters!r}")
+        if not _is_a(self.step, numbers.Real):
+            raise ParameterError(f"step must be a real number, got {self.step!r}")
+        if self.momentum_r is not None and not _is_a(self.momentum_r, numbers.Real):
+            raise ParameterError(f"momentum_r must be a real number, got {self.momentum_r!r}")
         if self.iters < 1:
             raise ParameterError("iters must be a positive integer")
         if not 0.0 < self.step < math.inf:
@@ -140,189 +169,130 @@ def initial_state(x0) -> AlgoState:
     return AlgoState(k=0, x=x0, y=x0, v=np.zeros_like(x0))
 
 
-def _sc_coefficient(mu: float, s: float) -> float:
-    mus = mu * s
-    if not 0.0 < mus < 1.0:
-        raise ParameterError(f"need 0 < mu*s < 1 for the constant momentum, got {mus}")
-    root = math.sqrt(mus)
-    return (1.0 - root) / (1.0 + root)
+def _weights(algo: str, r: float | None, mu: float, s: float):
+    """The kernel's k -> (beta_k, gamma_k) for ``algo``; None marks an absent term."""
+    if algo == "gd":
+        return lambda k: (None, None)
+    if algo in ("nag-sc", "m-nag-sc"):
+        mus = mu * s
+        if not 0.0 < mus < 1.0:
+            raise ParameterError(f"need 0 < mu*s < 1 for the constant momentum, got {mus}")
+        beta = (1.0 - math.sqrt(mus)) / (1.0 + math.sqrt(mus))
+        gamma = 1.0 if algo in MONOTONE_ALGOS else None
+        return lambda k: (beta, gamma)
+    if algo in MONOTONE_ALGOS:
+        return lambda k: (k / (k + r + 1.0), (k + r) / (k + r + 1.0))
+    return lambda k: (k / (k + r + 1.0), None)
 
 
-# Step cores. Each maps (state, problem, s, r) to (next state, first-order
-# map evaluated at y_k, candidate z_k or None); the runner stores the map
-# with record k so analysis reuses exactly what the step consumed. The
-# monotone cores also take fx = f(x_k) and return f(x_{k+1}) last, so the
-# comparison costs one evaluation, f(z_k).
+def _step(state, problem, s, fx=None, *, weights):
+    """The kernel: y' = x' + beta_k (x' - x) + gamma_k (z - x').
 
-
-def _gd_core(state, oracle, s, r):
-    g = oracle.gradient(state.y)
-    x1 = state.x - s * g
+    One proximal step from y_k gives the candidate z and the first-order map
+    at y_k. Without gamma_k, x' = z; with it, z replaces x_k unless it
+    increases phi (ties accept). Given fx = phi(x_k), also returns
+    phi(x_{k+1}), which costs no evaluation beyond phi(z) on monotone
+    schemes. Returns (next state, map at y_k, phi(x_{k+1}) or None).
+    """
+    beta, gamma = weights(state.k)
+    z, m = prox_step(problem, state.y, s)
+    if gamma is not None:
+        fz = problem.phi_value(z)
+        x1, f1 = (z, fz) if fz <= fx else (state.x, fx)
+    else:
+        x1, z = z, None
+        f1 = None if fx is None else problem.phi_value(x1)
+    # Without beta_k, y' is x' itself: x' + 0*(x' - x) would turn -0.0 into 0.0.
+    y1 = x1 if beta is None else x1 + beta * (x1 - state.x)
+    if gamma is not None:
+        y1 = y1 + gamma * (z - x1)
     v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(state.k + 1, x1, x1, v1), g, None
+    return AlgoState(state.k + 1, x1, y1, v1, z=z), m, f1
 
 
-def _nag_core(state, oracle, s, r):
+def _phase_step(state, problem, s, fx=None, *, r):
+    """Nesterov momentum in position-velocity form; same return as _step."""
     k = state.k
-    g = oracle.gradient(state.y)
-    x1 = state.y - s * g
-    y1 = x1 + (k / (k + r + 1.0)) * (x1 - state.x)
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(k + 1, x1, y1, v1), g, None
-
-
-def _nag_phase_core(state, oracle, s, r):
-    k = state.k
-    g = oracle.gradient(state.y)
+    g = problem.smooth.gradient(state.y)
     rs = math.sqrt(s)
     v1 = state.v - ((r + 1.0) / (k + r)) * state.v - rs * g
     x1 = state.x + rs * v1
     y1 = x1 + (k / (k + 1.0 + r)) * rs * v1
-    return AlgoState(k + 1, x1, y1, v1), g, None
+    f1 = None if fx is None else problem.phi_value(x1)
+    return AlgoState(k + 1, x1, y1, v1), g, f1
 
 
-def _accept(z, fz, x, fx):
-    # The comparison step: z_k replaces x_k unless it increases f; ties accept.
-    return (z, fz) if fz <= fx else (x, fx)
+def composite_for(problem: Problem, algo: str) -> CompositeObjective:
+    """The composite objective ``algo`` steps on; raises InvalidProblemError
+    when ``algo`` cannot run on ``problem``.
+
+    Composite algorithms need a composite problem. The others take a smooth
+    oracle, which gets a zero regularizer, or a composite whose regularizer
+    is zero.
+    """
+    if algo in COMPOSITE_ALGOS:
+        if not isinstance(problem, CompositeObjective):
+            raise InvalidProblemError(f"{algo} requires a composite objective")
+        return problem
+    if not isinstance(problem, CompositeObjective):
+        return as_composite(problem)
+    if problem.regularizer_kind != "zero":
+        raise InvalidProblemError(f"{algo} handles smooth objectives only; use fista/m-fista")
+    return problem
 
 
-def _mnag_core(state, oracle, s, r, fx):
-    k = state.k
-    g = oracle.gradient(state.y)
-    z = state.y - s * g
-    x1, f1 = _accept(z, oracle.value(z), state.x, fx)
-    y1 = (
-        x1
-        + (k / (k + r + 1.0)) * (x1 - state.x)
-        + ((k + r) / (k + r + 1.0)) * (z - x1)
-    )
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(k + 1, x1, y1, v1, z=z), g, z, f1
+def _transition(algo: str, problem: CompositeObjective, s: float, r: float | None):
+    """(state, problem, s, fx) -> (next state, map at y_k, phi(x_{k+1})) for ``algo``."""
+    if algo == "nag-phase":
+        return partial(_phase_step, r=r)
+    return partial(_step, weights=_weights(algo, r, problem.smooth.mu, s))
 
 
-def _prox_step(problem, y, s):
-    # One proximal-gradient step from y: returns (new point, map at y).
-    # The zero-regularizer route is arithmetic-identical to the smooth step.
-    g = problem.smooth.gradient(y)
-    if problem.regularizer_kind == "zero":
-        return y - s * g, g
-    p = soft_threshold(y - s * g, problem.l1_weight * s)
-    return p, (y - p) / s
-
-
-def _fista_core(state, problem, s, r):
-    k = state.k
-    x1, m = _prox_step(problem, state.y, s)
-    y1 = x1 + (k / (k + r + 1.0)) * (x1 - state.x)
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(k + 1, x1, y1, v1), m, None
-
-
-def _mfista_core(state, problem, s, r, fx):
-    k = state.k
-    z, m = _prox_step(problem, state.y, s)
-    x1, f1 = _accept(z, problem.phi_value(z), state.x, fx)
-    y1 = (
-        x1
-        + (k / (k + r + 1.0)) * (x1 - state.x)
-        + ((k + r) / (k + r + 1.0)) * (z - x1)
-    )
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(k + 1, x1, y1, v1, z=z), m, z, f1
-
-
-def _nag_sc_core(state, oracle, s, r):
-    coeff = _sc_coefficient(oracle.mu, s)
-    g = oracle.gradient(state.y)
-    x1 = state.y - s * g
-    y1 = x1 + coeff * (x1 - state.x)
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(state.k + 1, x1, y1, v1), g, None
-
-
-def _mnag_sc_core(state, oracle, s, r, fx):
-    coeff = _sc_coefficient(oracle.mu, s)
-    g = oracle.gradient(state.y)
-    z = state.y - s * g
-    x1, f1 = _accept(z, oracle.value(z), state.x, fx)
-    y1 = x1 + coeff * (x1 - state.x) + (z - x1)
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(state.k + 1, x1, y1, v1, z=z), g, z, f1
-
-
-_CORES = {
-    "gd": _gd_core,
-    "nag": _nag_core,
-    "nag-phase": _nag_phase_core,
-    "m-nag": _mnag_core,
-    "fista": _fista_core,
-    "m-fista": _mfista_core,
-    "nag-sc": _nag_sc_core,
-    "m-nag-sc": _mnag_sc_core,
-}
+def _entry(algo: str, state: AlgoState, problem: Problem, s: float, r=None) -> AlgoState:
+    work = composite_for(problem, algo)
+    fx = work.phi_value(state.x) if algo in MONOTONE_ALGOS else None
+    return _transition(algo, work, s, r)(state, work, s, fx)[0]
 
 
 def step_gd(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
-    """x' = x - s*grad f(x), with y' = x'."""
-    return _gd_core(state, oracle, s, None)[0]
+    """x' = y - s*grad f(y), with y' = x' (so y_k = x_k along a run)."""
+    return _entry("gd", state, oracle, s)
 
 
 def step_nag(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
     """Gradient step from y_k, then momentum y' = x' + k/(k+r+1)*(x' - x)."""
-    return _nag_core(state, oracle, s, r)[0]
+    return _entry("nag", state, oracle, s, r)
 
 
 def step_nag_phase(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
     """Position-velocity form of step_nag; equal trajectories up to rounding."""
-    return _nag_phase_core(state, oracle, s, r)[0]
+    return _entry("nag-phase", state, oracle, s, r)
 
 
 def step_mnag(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
     """Monotone variant: accept z_k = y_k - s*grad f(y_k) only if it does not
     increase f; ties accept z_k."""
-    return _mnag_core(state, oracle, s, r, oracle.value(state.x))[0]
+    return _entry("m-nag", state, oracle, s, r)
 
 
 def step_fista(state: AlgoState, problem: CompositeObjective, s: float, r: float) -> AlgoState:
     """Proximal counterpart of step_nag driven by the proximal value of y_k."""
-    return _fista_core(state, problem, s, r)[0]
+    return _entry("fista", state, problem, s, r)
 
 
 def step_mfista(state: AlgoState, problem: CompositeObjective, s: float, r: float) -> AlgoState:
     """Monotone proximal variant; the comparison is on phi = f + g."""
-    return _mfista_core(state, problem, s, r, problem.phi_value(state.x))[0]
+    return _entry("m-fista", state, problem, s, r)
 
 
 def step_nag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
     """Constant momentum (1 - sqrt(mu*s))/(1 + sqrt(mu*s)) for known mu."""
-    return _nag_sc_core(state, oracle, s, None)[0]
+    return _entry("nag-sc", state, oracle, s)
 
 
 def step_mnag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
     """Monotone constant-momentum variant; note the full (z - x') correction."""
-    return _mnag_sc_core(state, oracle, s, None, oracle.value(state.x))[0]
-
-
-def _resolve_work_problem(problem: Problem, algo: str):
-    # Composite algorithms need a composite problem; smooth ones accept a
-    # composite wrapper only when its regularizer is identically zero.
-    if algo in COMPOSITE_ALGOS:
-        if not isinstance(problem, CompositeObjective):
-            raise InvalidProblemError(f"{algo} requires a composite objective")
-        return problem, problem.smooth
-    if isinstance(problem, CompositeObjective):
-        if problem.regularizer_kind != "zero":
-            raise InvalidProblemError(
-                f"{algo} handles smooth objectives only; use fista/m-fista"
-            )
-        return problem.smooth, problem.smooth
-    return problem, problem
-
-
-def _final_map(work, y, s):
-    if isinstance(work, CompositeObjective):
-        return _prox_step(work, y, s)[1]
-    return work.gradient(y)
+    return _entry("m-nag-sc", state, oracle, s)
 
 
 def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") -> Trace:
@@ -334,41 +304,25 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     per step: at x_{k+1}, or for monotone schemes at z_k, whose comparison
     decides f(x_{k+1}).
     """
-    work, oracle = _resolve_work_problem(problem, params.algo)
-    require_step(params.step, oracle.lipschitz)
-    x0 = _as_vector(x0, oracle.dim)
+    work = composite_for(problem, params.algo)
+    require_step(params.step, work.smooth.lipschitz)
+    x0 = _as_vector(x0, work.dim)
     if not np.all(np.isfinite(x0)):
         raise ParameterError("start point x0 must be finite")
     s = params.step
-    r = params.momentum_r
-    core = _CORES[params.algo]
-    monotone = params.algo in MONOTONE_ALGOS
-    value = work.phi_value if isinstance(work, CompositeObjective) else work.value
+    transition = _transition(params.algo, work, s, params.momentum_r)
 
     state = initial_state(x0)
     # An overflow here is reported as the error below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = value(state.x)
+        fx = work.phi_value(state.x)
     if not math.isfinite(fx):
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
     records = []
     for k in range(params.iters):
-        if monotone:
-            new_state, m, z, f1 = core(state, work, s, r, fx)
-        else:
-            new_state, m, z = core(state, work, s, r)
-            f1 = value(new_state.x)
-        records.append(TraceRecord(k, state.x, state.y, state.v, fx, m, z))
+        new_state, m, f1 = transition(state, work, s, fx)
+        records.append(TraceRecord(k, state.x, state.y, state.v, fx, m, new_state.z))
         state, fx = new_state, f1
-    records.append(
-        TraceRecord(
-            params.iters,
-            state.x,
-            state.y,
-            state.v,
-            fx,
-            _final_map(work, state.y, s),
-            None,
-        )
-    )
+    final_map = prox_step(work, state.y, s)[1]
+    records.append(TraceRecord(params.iters, state.x, state.y, state.v, fx, final_map, None))
     return Trace(params=params, problem_id=problem_id, records=tuple(records))

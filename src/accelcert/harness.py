@@ -25,16 +25,16 @@ import numpy as np
 
 from . import lyapunov, problems
 from .algorithms import (
-    COMPOSITE_ALGOS,
     R_FAMILY_ALGOS,
     ALGORITHMS,
     RunParams,
     Trace,
     TraceColumns,
     TraceRecord,
+    composite_for,
     run,
 )
-from .errors import AccelCertError
+from .errors import AccelCertError, ParameterError
 from .lyapunov import CERTIFIABLE_ALGOS
 from .problems import as_composite, resolve_problem
 
@@ -73,19 +73,19 @@ def _parse_x0(text):
         raise UsageError(f"bad x0 {text!r}: expected 'ones' or comma-separated floats") from exc
 
 
+def _run_params(cfg: ExperimentConfig) -> RunParams:
+    try:
+        return RunParams(algo=cfg.algo, step=cfg.step, iters=cfg.iters, momentum_r=cfg.momentum_r)
+    except ParameterError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.algo not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {cfg.algo!r}; choose from {', '.join(ALGORITHMS)}")
+    _run_params(cfg)
     if cfg.format not in FORMATS:
         raise UsageError(f"unknown format {cfg.format!r}")
     if cfg.energy_form not in ENERGY_FORMS:
         raise UsageError(f"unknown energy form {cfg.energy_form!r}")
-    if cfg.iters < 1:
-        raise UsageError("iters must be a positive integer")
-    if cfg.step <= 0.0:
-        raise UsageError("step must be positive")
-    if cfg.algo in R_FAMILY_ALGOS and cfg.momentum_r is not None and cfg.momentum_r < 2.0:
-        raise UsageError(f"momentum parameter r must be >= 2, got {cfg.momentum_r}")
     if cfg.certify and cfg.algo not in CERTIFIABLE_ALGOS:
         raise UsageError(
             f"no certificate available for {cfg.algo!r}; certifiable: "
@@ -199,12 +199,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.certificate_out is not None:
         overrides["certificate_path"] = args.certificate_out
 
-    if base is not None:
-        cfg = replace(base, **overrides)
-    else:
-        cfg = ExperimentConfig(**overrides)
-        if cfg.algo in R_FAMILY_ALGOS and args.r is None:
-            raise UsageError(f"--r is required for {cfg.algo}")
+    cfg = ExperimentConfig(**overrides) if base is None else replace(base, **overrides)
     return _validate_config(cfg)
 
 
@@ -244,20 +239,25 @@ def _resolve_x0(cfg: ExperimentConfig, dim: int) -> np.ndarray:
     return x0
 
 
+def _resolve_for(name: str, algo: str):
+    """The problem ``name`` as the composite objective ``algo`` runs on, and
+    its optimum; raises InvalidProblemError where ``run`` would. Smooth
+    problems get a zero regularizer, so fista/m-fista run on them too."""
+    problem, optimum = resolve_problem(name)
+    if isinstance(problem, problems.SmoothOracle):
+        problem = as_composite(problem)
+    return composite_for(problem, algo), optimum
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Run one configured experiment; returns (trace, certificate or None).
 
     Writes the trace to cfg.trace_path and, when certifying, the
     certificate JSON to cfg.certificate_path.
     """
-    problem, optimum = resolve_problem(cfg.problem)
-    if cfg.algo in COMPOSITE_ALGOS and not isinstance(problem, problems.CompositeObjective):
-        problem = as_composite(problem)
-    params = RunParams(
-        algo=cfg.algo, step=cfg.step, iters=cfg.iters, momentum_r=cfg.momentum_r
-    )
-    x0 = _resolve_x0(cfg, problems.smooth_part(problem).dim)
-    trace = run(problem, params, x0, problem_id=cfg.problem)
+    problem, optimum = _resolve_for(cfg.problem, cfg.algo)
+    x0 = _resolve_x0(cfg, problem.dim)
+    trace = run(problem, _run_params(cfg), x0, problem_id=cfg.problem)
 
     certificate = None
     if cfg.certify:
@@ -655,11 +655,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_certify(args) -> int:
     trace = load_trace(args.trace)
-    problem, optimum = resolve_problem(args.problem)
-    if trace.params.algo in COMPOSITE_ALGOS and not isinstance(
-        problem, problems.CompositeObjective
-    ):
-        problem = as_composite(problem)
+    problem, optimum = _resolve_for(args.problem, trace.params.algo)
     certificate = lyapunov.certify(trace, problem, optimum, form=args.energy_form)
     if args.out:
         with open(args.out, "w") as fh:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import MONOTONE_ALGOS, Trace
+from .algorithms import MONOTONE_ALGOS, Trace, composite_for
 from .errors import ParameterError
 from .problems import OptimumInfo, Problem, Vector, smooth_part
 
@@ -230,13 +230,15 @@ def certify(
     E(k)/(1 + mu*s*(1-L*s)/4) - E(k+1). Flags apply relative plus absolute
     slack; defaults are (1e-8, 1e-12) for analytic optima and (1e-6, 1e-9)
     for reference-run optima, whose f* carries solver error. A row whose
-    gap, bound or energy is not finite fails at any k.
+    gap, bound or energy is not finite fails at any k. A problem the trace's
+    scheme cannot run on raises InvalidProblemError, as in ``run``.
     """
     algo = trace.params.algo
     if algo not in CERTIFIABLE_ALGOS:
         raise ParameterError(f"no certificate available for algorithm {algo!r}")
     if optimum is None:
         raise ParameterError("certification requires an optimum")
+    composite_for(problem, algo)  # the problem-kind check run applies
     oracle = smooth_part(problem)
     s = trace.params.step
     r = trace.params.momentum_r

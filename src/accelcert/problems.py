@@ -85,6 +85,10 @@ class CompositeObjective:
         return float(self.l1_weight * np.sum(np.abs(x)))
 
     def phi_value(self, x: Vector) -> float:
+        # With g identically zero phi is f itself, bit for bit (f + 0.0
+        # would turn a -0.0 into 0.0).
+        if self.regularizer_kind == "zero":
+            return self.smooth.value(x)
         return self.smooth.value(x) + self.g_value(x)
 
 

@@ -5,6 +5,11 @@ For step size s in (0, 1/L), the proximal value P(x) minimizes
 subgradient is G(x) = (x - P(x))/s, which reduces to grad f(x) when g is
 identically zero. For the l1 regularizer P(x) has the closed soft-threshold
 form; an independent grid-search oracle is provided for testing it.
+
+There is one proximal path: ``prox_step`` computes P(x) and G(x) from one
+gradient evaluation without checking its inputs, and the step kernel in
+``algorithms`` calls it directly. ``prox_eval`` is its validated wrapper,
+and ``prox_value`` and ``prox_subgradient`` read their values from it.
 """
 
 from __future__ import annotations
@@ -45,43 +50,37 @@ def soft_threshold(u, theta: float) -> Vector:
     return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
 
 
-def prox_value(problem: CompositeObjective, x, s: float) -> Vector:
-    """Proximal value P(x) for a zero or l1 regularizer.
+def prox_step(problem: CompositeObjective, x: Vector, s: float) -> tuple[Vector, Vector]:
+    """(P(x), G(x)) from one gradient evaluation, with no input checks.
 
-    Zero regularizer: the plain gradient step x - s*grad f(x). l1: the
-    soft threshold of the gradient step at level l1_weight*s.
+    Zero regularizer: P(x) is the plain gradient step x - s*grad f(x) and
+    G(x) is grad f(x) itself; the reduction is exact, and routing through
+    the subtraction would only destroy the bit-level identity with the
+    smooth algorithms. l1: P(x) is the soft threshold of the gradient step
+    at level l1_weight*s.
     """
-    require_step(s, problem.smooth.lipschitz)
-    x = _as_vector(x, problem.dim)
-    u = x - s * problem.smooth.gradient(x)
+    g = problem.smooth.gradient(x)
     if problem.regularizer_kind == "zero":
-        return u
-    return soft_threshold(u, problem.l1_weight * s)
-
-
-def prox_subgradient(problem: CompositeObjective, x, s: float) -> Vector:
-    """Proximal subgradient G(x) = (x - P(x))/s.
-
-    The zero-regularizer path returns grad f(x) itself: the reduction is
-    exact, and routing through the subtraction would only destroy the
-    bit-level identity with the smooth algorithms.
-    """
-    require_step(s, problem.smooth.lipschitz)
-    x = _as_vector(x, problem.dim)
-    if problem.regularizer_kind == "zero":
-        return problem.smooth.gradient(x)
-    return (x - prox_value(problem, x, s)) / s
+        return x - s * g, g
+    p = soft_threshold(x - s * g, problem.l1_weight * s)
+    return p, (x - p) / s
 
 
 def prox_eval(problem: CompositeObjective, x, s: float) -> ProxResult:
     """Bundle P(x) and G(x) computed from a single gradient evaluation."""
     require_step(s, problem.smooth.lipschitz)
-    x = _as_vector(x, problem.dim)
-    g = problem.smooth.gradient(x)
-    if problem.regularizer_kind == "zero":
-        return ProxResult(p_value=x - s * g, subgradient=g, step=s)
-    p = soft_threshold(x - s * g, problem.l1_weight * s)
-    return ProxResult(p_value=p, subgradient=(x - p) / s, step=s)
+    p, g = prox_step(problem, _as_vector(x, problem.dim), s)
+    return ProxResult(p_value=p, subgradient=g, step=s)
+
+
+def prox_value(problem: CompositeObjective, x, s: float) -> Vector:
+    """Proximal value P(x) for a zero or l1 regularizer (see prox_step)."""
+    return prox_eval(problem, x, s).p_value
+
+
+def prox_subgradient(problem: CompositeObjective, x, s: float) -> Vector:
+    """Proximal subgradient G(x) = (x - P(x))/s, grad f(x) when g is zero."""
+    return prox_eval(problem, x, s).subgradient
 
 
 def prox_bruteforce(

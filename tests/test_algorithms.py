@@ -214,6 +214,29 @@ def test_run_params_validation():
         ac.RunParams(algo="fista", step=0.1, iters=10, momentum_r=1.5)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"iters": 2.5},
+        {"iters": True},
+        {"iters": "10"},
+        {"step": True},
+        {"step": "0.1"},
+        {"algo": "gd", "momentum_r": True},
+        {"momentum_r": "2"},
+    ],
+)
+def test_run_params_rejects_values_of_the_wrong_type(fields):
+    with pytest.raises(ParameterError):
+        ac.RunParams(**{"algo": "nag", "step": 0.1, "iters": 10, "momentum_r": 2.0, **fields})
+
+
+def test_run_params_accepts_numpy_scalars():
+    params = ac.RunParams(algo="nag", step=np.float64(0.1), iters=np.int64(10),
+                          momentum_r=np.float32(2.0))
+    assert params.iters == 10
+
+
 def test_run_rejects_step_at_boundary(quad2d):
     params = ac.RunParams(algo="nag", step=0.5, iters=10, momentum_r=2.0)
     with pytest.raises(StepSizeError):

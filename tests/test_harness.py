@@ -6,6 +6,7 @@ import pytest
 
 import accelcert as ac
 from accelcert import harness
+from conftest import LASSO5_A, LASSO5_B, LASSO5_LAM
 from accelcert.harness import (
     ExperimentConfig,
     UsageError,
@@ -389,11 +390,20 @@ def _drop_last_record(payload):
     payload["records"].pop()
 
 
+def _float_iters(payload):
+    payload["params"]["iters"] = float(payload["params"]["iters"])
+
+
+def _bool_step(payload):
+    payload["params"]["step"] = True
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         _drop_params, _drop_map, _grow_record, _nan_x, _inf_y, _nan_v, _nan_z, _inf_map,
         _nan_f, _quoted_x, _k_not_index, _k_shifted, _iters_mismatch, _drop_last_record,
+        _float_iters, _bool_step,
     ],
 )
 def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
@@ -426,6 +436,25 @@ def test_certify_rejects_problem_of_other_dimension(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "dimension" in err
+
+
+def test_certify_rejects_problem_the_scheme_cannot_run_on(tmp_path, capsys, lasso5):
+    # A smooth scheme's trace against an l1 lasso of the same dimension:
+    # run refuses nag on that problem, so certify must too.
+    tr, lasso = tmp_path / "t.json", tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"A": LASSO5_A, "b": LASSO5_B, "lambda": LASSO5_LAM}))
+    rc = harness.main(["run", "--problem", "quad-diag:1,1,1,1,1", "--algo", "nag", "--step",
+                       "0.1", "--r", "2", "--iters", "10", "--format", "json",
+                       "--trace-out", str(tr)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = harness.main(["certify", "--trace", str(tr), "--problem", f"lasso:{lasso}",
+                       "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(ac.InvalidProblemError):
+        ac.certify(load_trace(str(tr)), *lasso5)
 
 
 def test_overflowing_start_point_is_a_usage_error(tmp_path, capsys):

@@ -116,10 +116,13 @@ class TraceRecord:
 
 @dataclass(frozen=True)
 class TraceColumns:
-    """Read-only whole-trace arrays; row k holds record k.
+    """A trace's arrays, the one stored form of it; row k holds record k.
 
-    ``x``, ``y``, ``v`` and ``map`` (the first-order map at y_k) have shape
-    (n+1, d), ``f`` (f or phi at x_k) has shape (n+1,).
+    ``x``, ``y``, ``v``, ``map`` (the first-order map at y_k) and ``z`` have
+    shape (n+1, d); ``f`` (f or phi at x_k) and ``has_z`` have shape (n+1,).
+    ``has_z[k]`` marks the records that carry a candidate z_k; no reader
+    uses the other rows of ``z``, which ``run`` and ``load_trace`` fill
+    with NaN. The constructor makes every array read-only.
     """
 
     x: np.ndarray
@@ -127,37 +130,36 @@ class TraceColumns:
     v: np.ndarray
     map: np.ndarray
     f: np.ndarray
+    z: np.ndarray
+    has_z: np.ndarray
 
-
-def _column(values) -> np.ndarray:
-    col = np.array(values, dtype=float)
-    col.setflags(write=False)
-    return col
+    def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            getattr(self, name).setflags(write=False)
 
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-iteration records of one run, including the first-order map
+    """One run as whole-trajectory columns, including the first-order map
     (gradient or proximal subgradient) evaluated at y_k during stepping."""
 
     params: RunParams
     problem_id: str
-    records: tuple[TraceRecord, ...]
+    columns: TraceColumns
 
     @property
     def iters(self) -> int:
-        return len(self.records) - 1
+        return len(self.columns.f) - 1
 
     @cached_property
-    def columns(self) -> TraceColumns:
-        """The records stacked into arrays, once per Trace."""
-        recs = self.records
-        return TraceColumns(
-            x=_column([rec.x for rec in recs]),
-            y=_column([rec.y for rec in recs]),
-            v=_column([rec.v for rec in recs]),
-            map=_column([rec.first_order_at_y for rec in recs]),
-            f=_column([rec.f_or_phi_at_x for rec in recs]),
+    def records(self) -> tuple[TraceRecord, ...]:
+        """One TraceRecord per row, built on first use; its vectors are row
+        views of the columns, and z is None where ``has_z`` is false."""
+        cols = self.columns
+        zs = [zk if has else None for zk, has in zip(cols.z, cols.has_z.tolist())]
+        return tuple(
+            map(TraceRecord, range(len(cols.f)), cols.x, cols.y, cols.v, cols.f.tolist(),
+                cols.map, zs)
         )
 
     def f_values(self) -> np.ndarray:
@@ -298,9 +300,9 @@ def step_mnag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
 def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") -> Trace:
     """Run ``params.iters`` steps from x0 = y0 and record the full trajectory.
 
-    The trace has iters + 1 records; record k stores the first-order map at
-    y_k that the transition consumed (for the final record it is evaluated
-    once more, which is exact since oracles are pure). f is evaluated once
+    The trace has iters + 1 rows, filled as it steps; row k stores the
+    first-order map at y_k that the transition consumed (for the final row
+    it is evaluated once more, which is exact since oracles are pure). f is evaluated once
     per step: at x_{k+1}, or for monotone schemes at z_k, whose comparison
     decides f(x_{k+1}).
     """
@@ -318,11 +320,17 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
         fx = work.phi_value(state.x)
     if not math.isfinite(fx):
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
-    records = []
-    for k in range(params.iters):
-        new_state, m, f1 = transition(state, work, s, fx)
-        records.append(TraceRecord(k, state.x, state.y, state.v, fx, m, new_state.z))
-        state, fx = new_state, f1
-    final_map = prox_step(work, state.y, s)[1]
-    records.append(TraceRecord(params.iters, state.x, state.y, state.v, fx, final_map, None))
-    return Trace(params=params, problem_id=problem_id, records=tuple(records))
+    n = params.iters
+    x, y, v, m = (np.empty((n + 1, work.dim)) for _ in range(4))
+    z = np.full((n + 1, work.dim), np.nan)
+    f = np.empty(n + 1)
+    has_z = np.zeros(n + 1, dtype=bool)
+    for k in range(n):
+        x[k], y[k], v[k], f[k] = state.x, state.y, state.v, fx
+        state, m[k], fx = transition(state, work, s, fx)
+        if state.z is not None:
+            z[k], has_z[k] = state.z, True
+    x[n], y[n], v[n], f[n] = state.x, state.y, state.v, fx
+    m[n] = prox_step(work, state.y, s)[1]
+    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z, has_z=has_z)
+    return Trace(params=params, problem_id=problem_id, columns=columns)

@@ -30,13 +30,12 @@ from .algorithms import (
     RunParams,
     Trace,
     TraceColumns,
-    TraceRecord,
     composite_for,
     run,
 )
 from .errors import AccelCertError, ParameterError
 from .lyapunov import CERTIFIABLE_ALGOS
-from .problems import as_composite, resolve_problem
+from .problems import as_composite, json_floats, resolve_problem
 
 
 class UsageError(AccelCertError):
@@ -280,26 +279,6 @@ def _grad_norm(cols) -> np.ndarray:
     return np.sqrt(list(map(np.dot, cols.map, cols.map)))
 
 
-def _row_fields(trace: Trace, optimum, certificate):
-    """Per-record CSV columns as lists: k, f_gap, grad_norm,
-    monotone_violation, energy and bound (None where the certificate has no
-    value)."""
-    cols = trace.columns
-    ks = [rec.k for rec in trace.records]
-    energies, bounds = {}, {}
-    if certificate is not None:
-        energies = {row.k: row.energy for row in certificate.rows}
-        bounds = {row.k: row.bound for row in certificate.rows}
-    return (
-        ks,
-        (cols.f - optimum.f_star).tolist(),
-        _grad_norm(cols).tolist(),
-        _violations(cols.f),
-        [energies.get(k) for k in ks],
-        [bounds.get(k) for k in ks],
-    )
-
-
 def _fmt(value) -> str:
     return "" if value is None else format(value, ".17g")
 
@@ -319,7 +298,6 @@ _format_float = float.__repr__
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLAGS = np.array(["0", "1"], dtype=object)
 
-_CERT_FIELDS = ("f_gap", "bound", "energy", "decrease_margin")
 _CERT_ROW = '{"k": %s, "gap": %s, "bound": %s, "energy": %s, "decrease_margin": %s}'
 
 
@@ -342,21 +320,19 @@ def _float_tokens(*columns) -> list[np.ndarray]:
     return [part.reshape(a.shape) for part, a in zip(np.split(tokens, ends[:-1]), arrays)]
 
 
-def _certificate_columns(certificate) -> list[tuple[np.ndarray, np.ndarray]]:
-    """gap, bound, energy and decrease_margin over the certificate's rows:
-    per field the float values of the rows that have one, and their mask."""
-    columns = []
-    for name in _CERT_FIELDS:
-        values = [getattr(row, name) for row in certificate.rows]
-        present = np.array([value is not None for value in values], dtype=bool)
-        columns.append((np.array(values, dtype=float)[present], present))
-    return columns
+def _certificate_floats(certificate) -> list[np.ndarray]:
+    return [certificate.f_gap, certificate.bound, certificate.energy,
+            certificate.decrease_margin]
 
 
-def _with_nulls(tokens: np.ndarray, present: np.ndarray) -> np.ndarray:
-    out = np.full(present.shape, "null", dtype=object)
-    out[present] = tokens
-    return out
+def _certificate_token_columns(tokens) -> list[np.ndarray]:
+    """The gap, bound, energy and decrease_margin tokens over all n+1 rows,
+    with "null" where a row has no value: the bound at k = 0, the energy at
+    k = n and the margin at k = n-1, n."""
+    gap, bound, energy, margin = tokens
+    null = np.array(["null"], dtype=object)
+    return [gap, np.concatenate([null, bound]), np.concatenate([energy, null]),
+            np.concatenate([margin, null, null])]
 
 
 def _json_head(payload: dict, rows_key: str) -> str:
@@ -375,20 +351,17 @@ def _write_rows(fh, head: str, templates, tokens: np.ndarray) -> None:
     fh.write("]}\n")
 
 
-def _write_certificate(fh, certificate, columns=None, tokens=None) -> None:
+def _write_certificate(fh, certificate, tokens=None) -> None:
     """Write json.dumps(certificate_to_dict(certificate)) and a newline.
 
-    ``columns`` and ``tokens`` are the certificate's float columns and their
-    tokens from a table shared with the trace; without them the
-    certificate gets a table of its own.
+    ``tokens`` are the tokens of the certificate's float arrays from a table
+    shared with the trace; without them the certificate gets a table of its
+    own.
     """
-    if columns is None:
-        columns = _certificate_columns(certificate)
-        tokens = _float_tokens(*(values for values, _ in columns))
-    ks = np.array([str(row.k) for row in certificate.rows], dtype=object)
-    matrix = np.column_stack(
-        [ks] + [_with_nulls(tok, present) for tok, (_, present) in zip(tokens, columns)]
-    )
+    if tokens is None:
+        tokens = _float_tokens(*_certificate_floats(certificate))
+    ks = np.array(list(map(str, range(len(certificate.f_gap)))), dtype=object)
+    matrix = np.column_stack([ks, *_certificate_token_columns(tokens)])
     head = _json_head(
         {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
     )
@@ -412,34 +385,24 @@ def _record_templates(d: int) -> np.ndarray:
 def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate_path) -> None:
     cols = trace.columns
     n_records, d = cols.x.shape
-    records = trace.records
-    ks = [rec.k for rec in records]
-    with_z = np.array([rec.z is not None for rec in records], dtype=bool)
-    z = np.array([rec.z for rec in records if rec.z is not None], dtype=float).reshape(-1, d)
-    floats = [cols.x, cols.y, cols.v, z, cols.f, cols.map, cols.f - optimum.f_star,
-              _grad_norm(cols)]
+    floats = [cols.x, cols.y, cols.v, cols.z[cols.has_z], cols.f, cols.map,
+              cols.f - optimum.f_star, _grad_norm(cols)]
     energy = bound = np.full(n_records, "null", dtype=object)
-    cert_columns = []
     if certificate is not None:
-        if [row.k for row in certificate.rows] != ks:
-            raise UsageError("the certificate's rows do not match the trace's records")
-        cert_columns = _certificate_columns(certificate)
-        floats += [values for values, _ in cert_columns]
+        floats += _certificate_floats(certificate)
     tokens = _float_tokens(*floats)
     x, y, v, z, f, m, f_gap, grad_norm = tokens[:8]
-    cert_tokens = tokens[8:]
     if certificate is not None:
-        # _CERT_FIELDS order: gap, bound, energy, decrease_margin.
-        bound = _with_nulls(cert_tokens[1], cert_columns[1][1])
-        energy = _with_nulls(cert_tokens[2], cert_columns[2][1])
+        cert_tokens = tokens[8:]
+        _, bound, energy, _ = _certificate_token_columns(cert_tokens)
         if certificate_path is not None:
             with open(certificate_path, "w") as fh:
-                _write_certificate(fh, certificate, cert_columns, cert_tokens)
+                _write_certificate(fh, certificate, cert_tokens)
 
     z_slots = np.full((n_records, d), "", dtype=object)
-    z_slots[with_z] = z
+    z_slots[cols.has_z] = z
     matrix = np.column_stack([
-        np.array(list(map(str, ks)), dtype=object),
+        np.array(list(map(str, range(n_records))), dtype=object),
         x, y, v, z_slots, f, m, f_gap, grad_norm, _FLAGS[_violations(cols.f)], energy, bound,
     ])
     params = trace.params
@@ -457,7 +420,7 @@ def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate
         "records",
     )
     with open(path, "w") as fh:
-        _write_rows(fh, head, _record_templates(d)[with_z.astype(int)], matrix)
+        _write_rows(fh, head, _record_templates(d)[cols.has_z.astype(int)], matrix)
 
 
 def emit_trace(
@@ -476,6 +439,8 @@ def emit_trace(
         raise UsageError(f"unknown format {fmt!r}")
     if certificate_path is not None and certificate is None:
         raise UsageError("a certificate path needs a certificate")
+    if certificate is not None and len(certificate.f_gap) != len(trace.columns.f):
+        raise UsageError("the certificate's rows do not match the trace's records")
     if fmt == "json":
         _write_json_trace(trace, path, optimum, certificate, certificate_path)
         return
@@ -484,7 +449,11 @@ def emit_trace(
             _write_certificate(fh, certificate)
     cols = trace.columns
     d = cols.x.shape[1]
-    ks, f_gaps, grad_norms, flags, energies, bounds = _row_fields(trace, optimum, certificate)
+    # A certificate has no energy at k = n and no bound at k = 0.
+    energies = bounds = [None] * len(cols.f)
+    if certificate is not None:
+        energies = certificate.energy.tolist() + [None]
+        bounds = [None] + certificate.bound.tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -498,25 +467,23 @@ def emit_trace(
             + [_fmt(v) for v in x]
             + [_fmt(v) for v in y]
             + [flag, _fmt(e_k), _fmt(b_k)]
-            for k, f_gap, grad_norm, x, y, flag, e_k, b_k in zip(
-                ks, f_gaps, grad_norms, cols.x.tolist(), cols.y.tolist(),
-                flags, energies, bounds,
-            )
+            for k, (f_gap, grad_norm, x, y, flag, e_k, b_k) in enumerate(zip(
+                (cols.f - optimum.f_star).tolist(), _grad_norm(cols).tolist(), cols.x.tolist(),
+                cols.y.tolist(), _violations(cols.f), energies, bounds,
+            ))
         )
 
 
-def _trace_column(records, key: str, path: str) -> np.ndarray:
-    """One field over all records as a float array; ragged records, values
-    that are not JSON numbers, and non-finite values are usage errors."""
+def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
+    """One field over ``records`` as a float array of ``ndim`` dimensions;
+    ragged records, values that are not JSON numbers, and non-finite values
+    are usage errors."""
     try:
-        col = np.array([rec[key] for rec in records])
+        col = json_floats([rec[key] for rec in records], ndim)
     except KeyError as exc:
         raise UsageError(f"trace {path!r} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed trace {path!r}: field {key!r}: {exc}") from exc
-    if col.size and col.dtype.kind not in "iuf":
-        raise UsageError(f"trace {path!r}: field {key!r} holds values that are not numbers")
-    col = col.astype(float)
     if not np.all(np.isfinite(col)):
         raise UsageError(f"trace {path!r}: field {key!r} holds non-finite values")
     return col
@@ -558,32 +525,17 @@ def load_trace(path: str) -> Trace:
     if bad_k is not None:
         raise UsageError(f"trace {path!r}: record {bad_k} has k = {ks[bad_k]!r}")
     x, y, v, m = (_trace_column(records, key, path) for key in ("x", "y", "v", "map"))
-    f = _trace_column(records, "f", path)
-    z = _trace_column([records[i] for i in with_z], "z", path)
-    if x.ndim != 2:
-        raise UsageError(f"trace {path!r} has no records of vector iterates")
-    if any(col.shape != x.shape for col in (y, v, m)) or (
-        with_z and z.shape != (len(with_z), x.shape[1])
-    ) or f.shape != (len(records),):
-        raise UsageError(
-            f"trace {path!r}: records need vectors of dimension {x.shape[1]} and a scalar f"
-        )
-    for col in (x, y, v, m, f):
-        col.setflags(write=False)
-    zs = dict(zip(with_z, z))
-    trace = Trace(
-        params=params,
-        problem_id=problem_id,
-        records=tuple(
-            TraceRecord(k, xk, yk, vk, fk, mk, zs.get(k))
-            for k, (xk, yk, vk, fk, mk) in enumerate(zip(x, y, v, f.tolist(), m))
-        ),
-    )
-    # The records are row views of the validated arrays, so those arrays
-    # are the trace's columns; filling the cached property's slot spares
-    # the first certify from stacking the rows again.
-    trace.__dict__["columns"] = TraceColumns(x=x, y=y, v=v, map=m, f=f)
-    return trace
+    f = _trace_column(records, "f", path, ndim=1)
+    d = x.shape[1]
+    z = _trace_column([records[i] for i in with_z], "z", path) if with_z else np.empty((0, d))
+    if any(col.shape != x.shape for col in (y, v, m)) or z.shape != (len(with_z), d):
+        raise UsageError(f"trace {path!r}: records need vectors of one dimension")
+    has_z = np.zeros(len(records), dtype=bool)
+    has_z[with_z] = True
+    z_col = np.full(x.shape, np.nan)
+    z_col[has_z] = z
+    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z_col, has_z=has_z)
+    return Trace(params=params, problem_id=problem_id, columns=columns)
 
 
 class _Parser(argparse.ArgumentParser):

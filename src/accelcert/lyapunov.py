@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algorithms import MONOTONE_ALGOS, Trace, composite_for
 from .errors import ParameterError
 from .problems import OptimumInfo, Problem, Vector, smooth_part
+from .proximal import require_step
 
 #: Algorithms covered by the rate and decrease certificates.
 CERTIFIABLE_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
@@ -195,9 +197,15 @@ class CertRow:
     decrease_ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
-    """Per-iteration theorem checks along one trace.
+    """Per-iteration theorem checks along one trace, stored as arrays.
+
+    Over a trace of n+1 records, ``f_gap``, ``bound_ok`` and
+    ``decrease_ok`` have one entry per record; ``bound`` covers k = 1..n,
+    ``energy`` k = 0..n-1 and ``decrease_margin`` k = 0..n-2. ``rows``
+    gives the same values per k, with None where a quantity is undefined;
+    certificates compare equal when their K, verdict and rows do.
 
     ``overall_pass`` conjoins the rate-bound flags for k >= max{1, K} and
     the energy-decrease flags for k >= K, each over the range the trace
@@ -205,8 +213,35 @@ class Certificate:
     """
 
     threshold_K: int
-    rows: tuple[CertRow, ...]
+    f_gap: np.ndarray
+    bound: np.ndarray
+    bound_ok: np.ndarray
+    energy: np.ndarray
+    decrease_margin: np.ndarray
+    decrease_ok: np.ndarray
     overall_pass: bool
+
+    @cached_property
+    def rows(self) -> tuple[CertRow, ...]:
+        return tuple(
+            map(
+                CertRow,
+                range(len(self.f_gap)),
+                self.f_gap.tolist(),
+                [None] + self.bound.tolist(),
+                self.bound_ok.tolist(),
+                self.energy.tolist() + [None],
+                self.decrease_margin.tolist() + [None, None],
+                self.decrease_ok.tolist(),
+            )
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        return (self.threshold_K, self.overall_pass, self.rows) == (
+            other.threshold_K, other.overall_pass, other.rows
+        )
 
 
 def resolve_form(algo: str, form: str = "auto") -> str:
@@ -230,8 +265,9 @@ def certify(
     E(k)/(1 + mu*s*(1-L*s)/4) - E(k+1). Flags apply relative plus absolute
     slack; defaults are (1e-8, 1e-12) for analytic optima and (1e-6, 1e-9)
     for reference-run optima, whose f* carries solver error. A row whose
-    gap, bound or energy is not finite fails at any k. A problem the trace's
-    scheme cannot run on raises InvalidProblemError, as in ``run``.
+    gap, bound or energy is not finite fails at any k. As in ``run``, a
+    problem the trace's scheme cannot run on raises InvalidProblemError,
+    and a step outside (0, 1/L) of that problem raises StepSizeError.
     """
     algo = trace.params.algo
     if algo not in CERTIFIABLE_ALGOS:
@@ -241,6 +277,7 @@ def certify(
     composite_for(problem, algo)  # the problem-kind check run applies
     oracle = smooth_part(problem)
     s = trace.params.step
+    require_step(s, oracle.lipschitz)
     r = trace.params.momentum_r
     mu, lipschitz = oracle.mu, oracle.lipschitz
     form = resolve_form(algo, form)
@@ -290,26 +327,15 @@ def certify(
     decrease_ok[:n] &= np.isfinite(energies)
     overall = bool(bound_ok.all() and decrease_ok.all())
 
-    rows = tuple(
-        map(
-            CertRow,
-            range(n + 1),
-            f_gap.tolist(),
-            [None] + bounds.tolist(),
-            bound_ok.tolist(),
-            energies.tolist() + [None],
-            margins.tolist() + [None, None],
-            decrease_ok.tolist(),
-        )
+    return Certificate(
+        threshold_K=big_k, f_gap=f_gap, bound=bounds, bound_ok=bound_ok, energy=energies,
+        decrease_margin=margins, decrease_ok=decrease_ok, overall_pass=overall,
     )
-    return Certificate(threshold_K=big_k, rows=rows, overall_pass=overall)
 
 
 def first_failing_k(certificate: Certificate) -> int | None:
-    for row in certificate.rows:
-        if not (row.bound_ok and row.decrease_ok):
-            return row.k
-    return None
+    failing = np.flatnonzero(~(certificate.bound_ok & certificate.decrease_ok))
+    return int(failing[0]) if failing.size else None
 
 
 def certificate_to_dict(certificate: Certificate) -> dict:

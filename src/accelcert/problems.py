@@ -124,6 +124,22 @@ def _as_vector(x, dim: int | None = None) -> Vector:
     return x
 
 
+def json_floats(value, ndim: int) -> np.ndarray:
+    """``value`` as json.load gives it, a number or nested lists of numbers,
+    as a float array of ``ndim`` (0, 1 or 2) dimensions.
+
+    Raises ValueError unless every entry is an int or a float: numpy would
+    turn true and numeric strings such as "1" into floats.
+    """
+    entries = np.array(value, dtype=object)
+    if entries.ndim != ndim or not set(map(type, entries.ravel().tolist())) <= {int, float}:
+        raise ValueError(f"expected {('a number', 'a list', 'a matrix')[ndim]} of JSON numbers")
+    try:
+        return entries.astype(float)
+    except OverflowError as exc:
+        raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
+
+
 def smooth_part(problem: Problem) -> SmoothOracle:
     return problem.smooth if isinstance(problem, CompositeObjective) else problem
 
@@ -374,9 +390,9 @@ def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
         except json.JSONDecodeError as exc:
             raise InvalidProblemError(f"bad JSON in lasso file {path!r}: {exc}") from exc
         try:
-            design = payload["A"]
-            target = payload["b"]
-            weight = float(payload["lambda"])
+            design = json_floats(payload["A"], 2)
+            target = json_floats(payload["b"], 1)
+            weight = float(json_floats(payload["lambda"], 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidProblemError(
                 f"lasso file {path!r} must define A, b and a numeric lambda"

@@ -364,7 +364,12 @@ def test_trace_columns_stack_records_read_only(quad2d):
         assert cols.f[k] == rec.f_or_phi_at_x
     with pytest.raises(ValueError):
         cols.x[0, 0] = 0.0
-    shifted = dataclasses.replace(trace, records=trace.records[1:])
+    shifted = dataclasses.replace(
+        trace,
+        columns=dataclasses.replace(
+            cols, **{name: getattr(cols, name)[1:] for name in cols.__dataclass_fields__}
+        ),
+    )
     assert shifted.columns.x.shape == (30, 2)
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -144,6 +145,26 @@ def test_reingested_trace_recertifies_identically(tmp_path, quad2d):
     emit_trace(trace, "json", str(path), optimum=optimum, certificate=cert)
     cert2 = ac.certify(load_trace(str(path)), oracle, optimum)
     assert cert2 == cert
+
+
+def test_reloaded_trace_rewrites_identical_bytes(tmp_path, quad2d):
+    # Clearing has_z on every third record pins the mask across a reload.
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=60, momentum_r=2.0)
+    trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
+    has_z = trace.columns.has_z.copy()
+    has_z[::3] = False
+    trace = dataclasses.replace(trace, columns=dataclasses.replace(trace.columns, has_z=has_z))
+    texts = []
+    for i in range(2):
+        tr, cert = tmp_path / f"t{i}.json", tmp_path / f"c{i}.json"
+        emit_trace(trace, "json", str(tr), optimum=optimum,
+                   certificate=ac.certify(trace, oracle, optimum), certificate_path=str(cert))
+        texts.append((tr.read_bytes(), cert.read_bytes()))
+        trace = load_trace(str(tr))
+    assert b'"z": null' in texts[0][0] and b'"z": [' in texts[0][0]
+    assert texts[1] == texts[0]
+    assert np.array_equal(trace.columns.has_z, has_z)
 
 
 def test_load_trace_rejects_csv(tmp_path, quad2d):
@@ -374,6 +395,14 @@ def _quoted_x(payload):
     payload["records"][4]["x"] = [str(v) for v in payload["records"][4]["x"]]
 
 
+def _bool_x(payload):
+    payload["records"][4]["x"] = [True, True]
+
+
+def _bool_f(payload):
+    payload["records"][7]["f"] = True
+
+
 def _k_not_index(payload):
     payload["records"][2]["k"] = "two"
 
@@ -403,7 +432,7 @@ def _bool_step(payload):
     [
         _drop_params, _drop_map, _grow_record, _nan_x, _inf_y, _nan_v, _nan_z, _inf_map,
         _nan_f, _quoted_x, _k_not_index, _k_shifted, _iters_mismatch, _drop_last_record,
-        _float_iters, _bool_step,
+        _float_iters, _bool_step, _bool_x, _bool_f,
     ],
 )
 def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
@@ -455,6 +484,22 @@ def test_certify_rejects_problem_the_scheme_cannot_run_on(tmp_path, capsys, lass
     assert err.startswith("error: ") and err.count("\n") == 1
     with pytest.raises(ac.InvalidProblemError):
         ac.certify(load_trace(str(tr)), *lasso5)
+
+
+@pytest.mark.parametrize("algo,problem", [("nag", "quad-diag:1,1"), ("m-nag", "quad2d")])
+def test_certify_rejects_a_step_outside_the_problems_range(tmp_path, capsys, algo, problem):
+    # s = 0.4 runs on L = 2 but is outside (0, 1/6) for quad-diag:1,3 (L = 6).
+    tr = tmp_path / "t.json"
+    rc = harness.main(["run", "--problem", problem, "--algo", algo, "--step", "0.4",
+                       "--r", "2", "--iters", "3000", "--format", "json",
+                       "--trace-out", str(tr)])
+    assert rc == 0
+    capsys.readouterr()
+    rc = harness.main(["certify", "--trace", str(tr), "--problem", "quad-diag:1,3",
+                       "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0.4 outside") and err.count("\n") == 1
 
 
 def test_overflowing_start_point_is_a_usage_error(tmp_path, capsys):

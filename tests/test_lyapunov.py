@@ -7,7 +7,7 @@ import pytest
 
 import accelcert as ac
 from accelcert import lyapunov as ly
-from accelcert.errors import ParameterError
+from accelcert.errors import ParameterError, StepSizeError
 
 
 S, R = 0.4, 2.0
@@ -233,11 +233,23 @@ def test_certify_requires_enough_records(quad2d):
         ac.certify(trace, oracle, optimum)
 
 
+def test_certify_applies_the_step_check_of_run():
+    # s = 0.4 is inside (0, 1/2) for quad-diag:1,1 but outside (0, 1/6) for
+    # quad-diag:1,3, where run refuses it.
+    oracle, _ = ac.make_quadratic((1.0, 1.0))
+    trace = ac.run(oracle, ac.RunParams(algo="nag", step=0.4, iters=20, momentum_r=2.0),
+                   [1.0, 1.0])
+    steep, steep_optimum = ac.make_quadratic((1.0, 3.0))
+    with pytest.raises(StepSizeError):
+        ac.run(steep, trace.params, [1.0, 1.0])
+    with pytest.raises(StepSizeError):
+        ac.certify(trace, steep, steep_optimum)
+
+
 def test_certify_flags_tampered_trace(nag_trace, quad2d):
-    records = list(nag_trace.records)
-    bad = records[7]
-    records[7] = dataclasses.replace(bad, f_or_phi_at_x=bad.f_or_phi_at_x + 1.0)
-    tampered = dataclasses.replace(nag_trace, records=tuple(records))
+    f = nag_trace.columns.f.copy()
+    f[7] += 1.0
+    tampered = dataclasses.replace(nag_trace, columns=dataclasses.replace(nag_trace.columns, f=f))
     cert = ac.certify(tampered, quad2d[0], quad2d[1])
     assert not cert.overall_pass
     assert ly.first_failing_k(cert) in (5, 6, 7)
@@ -318,9 +330,9 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
 
 def test_certify_fails_a_row_with_infinite_f(nag_trace, quad2d):
     # f(x_1) = inf makes every bound inf, and inf <= inf would hold.
-    records = list(nag_trace.records)
-    records[1] = dataclasses.replace(records[1], f_or_phi_at_x=math.inf)
-    overflowed = dataclasses.replace(nag_trace, records=tuple(records))
+    f = nag_trace.columns.f.copy()
+    f[1] = math.inf
+    overflowed = dataclasses.replace(nag_trace, columns=dataclasses.replace(nag_trace.columns, f=f))
     cert = ac.certify(overflowed, quad2d[0], quad2d[1])
     assert not cert.overall_pass
     assert ly.first_failing_k(cert) == 0

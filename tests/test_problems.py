@@ -282,6 +282,13 @@ def test_resolve_rejects_bad_names(name):
         {"b": [3.0, float("inf")]},
         {"lambda": "nan"},
         {"lambda": "heavy"},
+        {"lambda": True},
+        {"lambda": "0.4"},
+        {"A": [[1.0, 0.0], ["1", 1.0]]},
+        {"A": [[True, 0.0], [0.0, 1.0]]},
+        {"b": ["1", -3.0]},
+        {"b": [3.0, True]},
+        {"lambda": 10**400},
     ],
 )
 def test_resolve_rejects_bad_lasso_files(tmp_path, change):

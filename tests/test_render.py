@@ -130,12 +130,15 @@ def test_render_keeps_negative_zero_apart(tmp_path, quad2d):
 
 
 def _with_non_finite(trace):
-    records = list(trace.records)
-    records[1] = dataclasses.replace(records[1], f_or_phi_at_x=float("inf"))
-    records[2] = dataclasses.replace(records[2], x=np.array([float("nan"), 1.0]))
-    records[3] = dataclasses.replace(records[3], first_order_at_y=np.array([float("-inf"), 0.0]))
-    records[4] = dataclasses.replace(records[4], z=np.array([-0.0, float("-nan")]))
-    return dataclasses.replace(trace, records=tuple(records))
+    cols = trace.columns
+    f, x, m, z, has_z = (col.copy() for col in (cols.f, cols.x, cols.map, cols.z, cols.has_z))
+    f[1] = float("inf")
+    x[2] = [float("nan"), 1.0]
+    m[3] = [float("-inf"), 0.0]
+    z[4], has_z[4] = [-0.0, float("-nan")], True
+    return dataclasses.replace(
+        trace, columns=dataclasses.replace(cols, f=f, x=x, map=m, z=z, has_z=has_z)
+    )
 
 
 def test_render_spells_non_finite_values_as_json_dumps(tmp_path, quad2d):
@@ -154,10 +157,11 @@ def test_render_mixes_z_rows_and_nulls(tmp_path, quad2d):
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=9, momentum_r=2.0)
     trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
-    records = [
-        dataclasses.replace(rec, z=None) if rec.k % 3 == 0 else rec for rec in trace.records
-    ]
-    trace = dataclasses.replace(trace, records=tuple(records))
+    has_z = trace.columns.has_z.copy()
+    has_z[::3] = False
+    trace = dataclasses.replace(
+        trace, columns=dataclasses.replace(trace.columns, has_z=has_z)
+    )
     text, _ = _write(tmp_path, trace, optimum)
     assert '"z": null' in text and '"z": [' in text
     _assert_same_as_reference(tmp_path, trace, optimum)

@@ -72,6 +72,13 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 @dataclass(frozen=True)
 class RunParams:
     algo: str
@@ -92,9 +99,9 @@ class RunParams:
             raise ParameterError(f"momentum_r must be a real number, got {self.momentum_r!r}")
         if self.iters < 1:
             raise ParameterError("iters must be a positive integer")
-        if not 0.0 < self.step < math.inf:
+        if not (self.step > 0.0 and _is_finite(self.step)):
             raise ParameterError(f"step must be positive and finite, got {self.step}")
-        if self.momentum_r is not None and not math.isfinite(self.momentum_r):
+        if self.momentum_r is not None and not _is_finite(self.momentum_r):
             raise ParameterError(f"momentum parameter r must be finite, got {self.momentum_r}")
         if self.algo in R_FAMILY_ALGOS:
             if self.momentum_r is None:

@@ -27,6 +27,7 @@ from . import lyapunov, problems
 from .algorithms import (
     R_FAMILY_ALGOS,
     ALGORITHMS,
+    MONOTONE_ALGOS,
     RunParams,
     Trace,
     TraceColumns,
@@ -63,15 +64,6 @@ class ExperimentConfig:
     energy_form: str = "auto"
 
 
-def _parse_x0(text):
-    if text == "ones":
-        return "ones"
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise UsageError(f"bad x0 {text!r}: expected 'ones' or comma-separated floats") from exc
-
-
 def _run_params(cfg: ExperimentConfig) -> RunParams:
     try:
         return RunParams(algo=cfg.algo, step=cfg.step, iters=cfg.iters, momentum_r=cfg.momentum_r)
@@ -79,7 +71,91 @@ def _run_params(cfg: ExperimentConfig) -> RunParams:
         raise UsageError(str(exc)) from exc
 
 
-def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+def parse_config(source) -> ExperimentConfig:
+    """Build a validated ExperimentConfig.
+
+    ``source`` is either a list of command-line tokens for the ``run``
+    subcommand, a path to a JSON config file, or a dict with the same keys
+    as ExperimentConfig. All three go through one validator. Flags are laid
+    over the keys of the --config file, if any. A file or dict may omit
+    momentum_r or set it to null, which gives r = 2 to r-dependent
+    algorithms; on the command line without --config, --r is mandatory for
+    them.
+    """
+    if isinstance(source, (list, tuple)):
+        return _config_from_args(_build_parser().parse_args(["run", *source]))
+    if isinstance(source, (str, os.PathLike)):
+        return _config_from_mapping(_read_config(source))
+    if isinstance(source, dict):
+        return _config_from_mapping(source)
+    raise UsageError(f"cannot parse config from {type(source).__name__}")
+
+
+def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"bad JSON in config {path!r}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError(f"config must be a JSON object, got {type(payload).__name__}")
+    return payload
+
+
+_NUMBER = (int, float)
+_OPTIONAL_STR = (str, type(None))
+#: The value types a config mapping may hold, per ExperimentConfig field.
+#: The ``run`` flags have these names as their argparse dests.
+_CONFIG_TYPES = {
+    "problem": str,
+    "algo": str,
+    "step": _NUMBER,
+    "iters": int,
+    "momentum_r": (*_NUMBER, type(None)),
+    "x0": (str, list, tuple),
+    "trace_path": _OPTIONAL_STR,
+    "certificate_path": _OPTIONAL_STR,
+    "format": str,
+    "certify": bool,
+    "energy_form": str,
+}
+
+
+def _config_from_mapping(payload: dict, *, default_r: bool = True) -> ExperimentConfig:
+    """The one validator of ``run`` settings. With ``default_r``, an
+    r-dependent algorithm without momentum_r gets r = 2."""
+    unknown = set(payload) - set(_CONFIG_TYPES)
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key in ("problem", "algo", "step"):
+        if key not in payload:
+            raise UsageError(f"config is missing required key {key!r}")
+    for key, value in payload.items():
+        # bool is an int subclass; it is a value only for "certify".
+        if not isinstance(value, _CONFIG_TYPES[key]) or (
+            isinstance(value, bool) and key != "certify"
+        ):
+            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+    payload = dict(payload)
+    x0 = payload.get("x0", "ones")
+    if isinstance(x0, str) and x0 != "ones":
+        try:
+            x0 = [float(tok) for tok in x0.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise UsageError(f"bad x0 {x0!r}: expected 'ones' or comma-separated floats") from exc
+    if x0 != "ones":
+        try:
+            x0 = tuple(json_floats(x0, 1).tolist())
+        except ValueError as exc:
+            raise UsageError(
+                f"config key 'x0' must be 'ones' or a list of numbers, got {x0!r}"
+            ) from exc
+    payload["x0"] = x0
+    if default_r and payload["algo"] in R_FAMILY_ALGOS and payload.get("momentum_r") is None:
+        payload["momentum_r"] = DEFAULT_R
+    cfg = ExperimentConfig(**payload)
     _run_params(cfg)
     if cfg.format not in FORMATS:
         raise UsageError(f"unknown format {cfg.format!r}")
@@ -97,109 +173,10 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def parse_config(source) -> ExperimentConfig:
-    """Build a validated ExperimentConfig.
-
-    ``source`` is either a list of command-line tokens for the ``run``
-    subcommand, a path to a JSON config file, or a dict with the same keys
-    as ExperimentConfig. On the command line --r is mandatory for
-    r-dependent algorithms; a config file may omit momentum_r, which then
-    defaults to 2.
-    """
-    if isinstance(source, (list, tuple)):
-        parser = _build_parser()
-        args = parser.parse_args(["run", *source])
-        return _config_from_args(args)
-    if isinstance(source, (str, os.PathLike)):
-        try:
-            with open(source) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config {source!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad JSON in config {source!r}: {exc}") from exc
-        return _config_from_mapping(payload)
-    if isinstance(source, dict):
-        return _config_from_mapping(source)
-    raise UsageError(f"cannot parse config from {type(source).__name__}")
-
-
-_NUMBER = (int, float)
-_OPTIONAL_STR = (str, type(None))
-#: The value types a config mapping may hold, per ExperimentConfig field.
-_CONFIG_TYPES = {
-    "problem": str,
-    "algo": str,
-    "step": _NUMBER,
-    "iters": int,
-    "momentum_r": (*_NUMBER, type(None)),
-    "x0": (str, list, tuple),
-    "trace_path": _OPTIONAL_STR,
-    "certificate_path": _OPTIONAL_STR,
-    "format": str,
-    "certify": bool,
-    "energy_form": str,
-}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, _NUMBER) and not isinstance(value, bool)
-
-
-def _config_from_mapping(payload: dict) -> ExperimentConfig:
-    if not isinstance(payload, dict):
-        raise UsageError(f"config must be a JSON object, got {type(payload).__name__}")
-    unknown = set(payload) - set(_CONFIG_TYPES)
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    for key in ("problem", "algo", "step"):
-        if key not in payload:
-            raise UsageError(f"config is missing required key {key!r}")
-    for key, value in payload.items():
-        # bool is an int subclass; it is a value only for "certify".
-        if not isinstance(value, _CONFIG_TYPES[key]) or (
-            isinstance(value, bool) and key != "certify"
-        ):
-            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
-    payload = dict(payload)
-    x0 = payload.get("x0", "ones")
-    if isinstance(x0, str):
-        payload["x0"] = _parse_x0(x0)
-    elif all(map(_is_number, x0)):
-        payload["x0"] = tuple(float(v) for v in x0)
-    else:
-        raise UsageError(f"config key 'x0' must be 'ones' or a list of numbers, got {x0!r}")
-    cfg = ExperimentConfig(**payload)
-    if cfg.algo in R_FAMILY_ALGOS and cfg.momentum_r is None:
-        cfg = replace(cfg, momentum_r=DEFAULT_R)
-    return _validate_config(cfg)
-
-
 def _config_from_args(args) -> ExperimentConfig:
-    if args.config is not None:
-        base = parse_config(args.config)
-    else:
-        for key in ("problem", "algo", "step"):
-            if getattr(args, key) is None:
-                raise UsageError(f"--{key} is required")
-        base = None
-
-    overrides = {}
-    for key in ("problem", "algo", "step", "iters", "format", "certify", "energy_form"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.r is not None:
-        overrides["momentum_r"] = args.r
-    if args.x0 is not None:
-        overrides["x0"] = _parse_x0(args.x0)
-    if args.trace_out is not None:
-        overrides["trace_path"] = args.trace_out
-    if args.certificate_out is not None:
-        overrides["certificate_path"] = args.certificate_out
-
-    cfg = ExperimentConfig(**overrides) if base is None else replace(base, **overrides)
-    return _validate_config(cfg)
+    payload = {} if args.config is None else _read_config(args.config)
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_TYPES and v is not None}
+    return _config_from_mapping({**payload, **flags}, default_r=args.config is not None)
 
 
 def preset(name: str) -> list[ExperimentConfig]:
@@ -229,15 +206,6 @@ def preset(name: str) -> list[ExperimentConfig]:
     raise UsageError(f"unknown preset {name!r}; available: fig1, fig2")
 
 
-def _resolve_x0(cfg: ExperimentConfig, dim: int) -> np.ndarray:
-    if cfg.x0 == "ones":
-        return np.ones(dim)
-    x0 = np.asarray(cfg.x0, dtype=float)
-    if x0.size != dim:
-        raise UsageError(f"x0 has dimension {x0.size}, problem needs {dim}")
-    return x0
-
-
 def _resolve_for(name: str, algo: str):
     """The problem ``name`` as the composite objective ``algo`` runs on, and
     its optimum; raises InvalidProblemError where ``run`` would. Smooth
@@ -255,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig):
     certificate JSON to cfg.certificate_path.
     """
     problem, optimum = _resolve_for(cfg.problem, cfg.algo)
-    x0 = _resolve_x0(cfg, problem.dim)
+    x0 = np.ones(problem.dim) if cfg.x0 == "ones" else cfg.x0
     trace = run(problem, _run_params(cfg), x0, problem_id=cfg.problem)
 
     certificate = None
@@ -494,6 +462,8 @@ def load_trace(path: str) -> Trace:
 
     Every record must carry k equal to its index, finite vectors of one
     dimension and a finite f, and there must be params.iters + 1 records.
+    problem_id must be a string, and only the records of a monotone scheme
+    may carry a z.
     """
     try:
         with open(path) as fh:
@@ -517,6 +487,12 @@ def load_trace(path: str) -> Trace:
         raise UsageError(f"trace {path!r} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed trace {path!r}: {exc}") from exc
+    if not isinstance(problem_id, str):
+        raise UsageError(f"trace {path!r}: problem_id must be a string, got {problem_id!r}")
+    if with_z and params.algo not in MONOTONE_ALGOS:
+        raise UsageError(
+            f"trace {path!r}: record {with_z[0]} has a z, which {params.algo} does not produce"
+        )
     if len(records) != params.iters + 1:
         raise UsageError(
             f"trace {path!r} has {len(records)} records, params.iters + 1 = {params.iters + 1}"
@@ -551,11 +527,14 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--problem", help="quad2d | quad-diag:<c1,c2,...> | lasso:<path>")
     p_run.add_argument("--algo", help="one of: " + ", ".join(ALGORITHMS))
     p_run.add_argument("--step", type=float, help="step size s, must satisfy 0 < s < 1/L")
-    p_run.add_argument("--r", type=float, help="momentum parameter (r-family algorithms)")
+    p_run.add_argument("--r", type=float, dest="momentum_r",
+                       help="momentum parameter (r-family algorithms)")
     p_run.add_argument("--iters", type=int, help=f"iteration count (default {DEFAULT_ITERS})")
     p_run.add_argument("--x0", help="'ones' or comma-separated start point (default ones)")
-    p_run.add_argument("--trace-out", help="trace output path (default trace.<format>)")
-    p_run.add_argument("--certificate-out", help="certificate path (default certificate.json)")
+    p_run.add_argument("--trace-out", dest="trace_path",
+                       help="trace output path (default trace.<format>)")
+    p_run.add_argument("--certificate-out", dest="certificate_path",
+                       help="certificate path (default certificate.json)")
     p_run.add_argument("--format", choices=FORMATS, help="trace format (default csv)")
     p_run.add_argument("--certify", action="store_const", const=True, default=None,
                        help="certify the run and gate the exit code on it")
@@ -580,7 +559,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     trace, certificate = run_experiment(cfg)
-    drop = trace.records[0].f_or_phi_at_x - trace.records[-1].f_or_phi_at_x
+    drop = trace.columns.f[0] - trace.columns.f[-1]
     print(
         f"run {cfg.algo} on {cfg.problem}: {cfg.iters} iterations, "
         f"f drop {drop:.6g} -> {cfg.trace_path}"

@@ -22,8 +22,9 @@ from .proximal import require_step
 #: Algorithms covered by the rate and decrease certificates.
 CERTIFIABLE_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
 
-#: Default certification slack: theorem inequalities are exact in reals, the
-#: slack only absorbs rounding accumulated over hundreds of iterations.
+#: Certification slack (relative, absolute): theorem inequalities are exact
+#: in reals, the slack only absorbs rounding accumulated over hundreds of
+#: iterations.
 ANALYTIC_TOLS = (1e-8, 1e-12)
 #: Loosened slack when the optimum comes from a reference run.
 REFERENCE_TOLS = (1e-6, 1e-9)
@@ -155,7 +156,10 @@ def threshold_K(r: float) -> int:
     """
     if r < 2.0:
         raise ParameterError(f"momentum parameter r must be >= 2, got {r}")
-    return max(0, math.ceil((3.0 * r * r - 4.0 * r - 12.0) / 8.0))
+    raw = (3.0 * r * r - 4.0 * r - 12.0) / 8.0
+    if raw == math.inf:
+        raise ParameterError(f"momentum parameter r = {r} is too large: K(r) overflows")
+    return max(0, math.ceil(raw))
 
 
 def rate_factor(mu: float, s: float, lipschitz: float) -> float:
@@ -255,19 +259,18 @@ def certify(
     problem: Problem,
     optimum: OptimumInfo,
     form: str = "auto",
-    rel_tol: float | None = None,
-    abs_tol: float | None = None,
 ) -> Certificate:
     """Check the rate bound and per-step energy decrease along a trace.
 
     Row k carries the optimality gap f(x_k) - f*, the theorem bound (from
     k = 1), the energy E(k), and the raw decrease margin
     E(k)/(1 + mu*s*(1-L*s)/4) - E(k+1). Flags apply relative plus absolute
-    slack; defaults are (1e-8, 1e-12) for analytic optima and (1e-6, 1e-9)
-    for reference-run optima, whose f* carries solver error. A row whose
-    gap, bound or energy is not finite fails at any k. As in ``run``, a
-    problem the trace's scheme cannot run on raises InvalidProblemError,
-    and a step outside (0, 1/L) of that problem raises StepSizeError.
+    slack: ANALYTIC_TOLS (1e-8, 1e-12) for analytic optima and
+    REFERENCE_TOLS (1e-6, 1e-9) for reference-run optima, whose f* carries
+    solver error. A row whose gap, bound or energy is not finite fails at
+    any k. As in ``run``, a problem the trace's scheme cannot run on raises
+    InvalidProblemError, and a step outside (0, 1/L) of that problem raises
+    StepSizeError.
     """
     algo = trace.params.algo
     if algo not in CERTIFIABLE_ALGOS:
@@ -282,9 +285,7 @@ def certify(
     mu, lipschitz = oracle.mu, oracle.lipschitz
     form = resolve_form(algo, form)
     _require_form(algo, form)
-    defaults = REFERENCE_TOLS if optimum.source == "reference-run" else ANALYTIC_TOLS
-    rel = defaults[0] if rel_tol is None else rel_tol
-    absolute = defaults[1] if abs_tol is None else abs_tol
+    rel, absolute = REFERENCE_TOLS if optimum.source == "reference-run" else ANALYTIC_TOLS
 
     big_k = threshold_K(r)
     n = trace.iters

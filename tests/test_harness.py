@@ -427,12 +427,20 @@ def _bool_step(payload):
     payload["params"]["step"] = True
 
 
+def _z_on_nag(payload):
+    payload["records"][3]["z"] = [0.0, 0.0]
+
+
+def _int_problem_id(payload):
+    payload["problem_id"] = 123
+
+
 @pytest.mark.parametrize(
     "mutate",
     [
         _drop_params, _drop_map, _grow_record, _nan_x, _inf_y, _nan_v, _nan_z, _inf_map,
         _nan_f, _quoted_x, _k_not_index, _k_shifted, _iters_mismatch, _drop_last_record,
-        _float_iters, _bool_step, _bool_x, _bool_f,
+        _float_iters, _bool_step, _bool_x, _bool_f, _z_on_nag, _int_problem_id,
     ],
 )
 def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
@@ -522,6 +530,24 @@ def test_run_prints_f_drop_as_start_minus_end(tmp_path, capsys):
     records = load_trace(str(tmp_path / "t.json")).records
     assert drop > 0.0
     assert drop == float(f"{records[0].f_or_phi_at_x - records[-1].f_or_phi_at_x:.6g}")
+
+
+def test_run_leaves_trace_records_unbuilt(tmp_path, capsys, monkeypatch):
+    traces = []
+
+    def recording_run(cfg):
+        trace, certificate = run_experiment(cfg)
+        traces.append(trace)
+        return trace, certificate
+
+    monkeypatch.setattr(harness, "run_experiment", recording_run)
+    assert harness.main(["run", "--problem", "quad2d", "--algo", "m-nag", "--step", "0.4",
+                         "--r", "2", "--iters", "30", "--certify", "--format", "json",
+                         "--trace-out", str(tmp_path / "t.json"),
+                         "--certificate-out", str(tmp_path / "c.json")]) == 0
+    capsys.readouterr()
+    (trace,) = traces
+    assert "records" not in vars(trace)
 
 
 @pytest.mark.parametrize(

@@ -8,14 +8,7 @@ from .algorithms import (
     TraceRecord,
     initial_state,
     run,
-    step_fista,
-    step_gd,
-    step_mfista,
-    step_mnag,
-    step_mnag_sc,
-    step_nag,
-    step_nag_phase,
-    step_nag_sc,
+    step,
 )
 from .errors import (
     AccelCertError,
@@ -27,10 +20,8 @@ from .errors import (
 from .lyapunov import (
     Certificate,
     EnergyBreakdown,
-    SequenceSample,
     certify,
     energy,
-    sample_sequence,
     seq_R,
     seq_S,
     seq_T,

@@ -21,8 +21,11 @@ and x' = z unless a monotone scheme's comparison keeps x_k:
 nag-phase keeps its own position-velocity transition: it is the
 independent form that the two-point nag trajectory is checked against.
 
-Step functions return a fresh state and never mutate their inputs; the
-runner is deterministic, so identical inputs give bit-identical traces.
+``step(algo, state, problem, s, r)`` is the one public single step; it
+checks its arguments as ``RunParams`` checks a run's and takes the same
+transition ``run`` does. Steps return a fresh state and never mutate their
+inputs; the runner is deterministic, so identical inputs give bit-identical
+traces.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import InvalidProblemError, ParameterError
-from .problems import CompositeObjective, Problem, SmoothOracle, Vector, _as_vector, as_composite
+from .problems import CompositeObjective, Problem, Vector, _as_vector, as_composite
 from .proximal import prox_step, require_step
 
 ALGORITHMS = (
@@ -257,51 +260,20 @@ def _transition(algo: str, problem: CompositeObjective, s: float, r: float | Non
     return partial(_step, weights=_weights(algo, r, problem.smooth.mu, s))
 
 
-def _entry(algo: str, state: AlgoState, problem: Problem, s: float, r=None) -> AlgoState:
+def step(
+    algo: str, state: AlgoState, problem: Problem, s: float, r: float | None = None
+) -> AlgoState:
+    """One transition of ``algo`` from ``state``: the kernel ``run`` steps with.
+
+    ``algo``, ``s`` and ``r`` pass the checks ``RunParams`` applies to a run
+    (a known algorithm, s positive and finite, r >= 2 for the r family; r is
+    ignored by gd, nag-sc and m-nag-sc), and ``problem`` the problem-kind
+    check of ``composite_for``. Unlike ``run``, s is not held to (0, 1/L).
+    """
+    RunParams(algo=algo, step=s, iters=1, momentum_r=r)
     work = composite_for(problem, algo)
     fx = work.phi_value(state.x) if algo in MONOTONE_ALGOS else None
     return _transition(algo, work, s, r)(state, work, s, fx)[0]
-
-
-def step_gd(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
-    """x' = y - s*grad f(y), with y' = x' (so y_k = x_k along a run)."""
-    return _entry("gd", state, oracle, s)
-
-
-def step_nag(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
-    """Gradient step from y_k, then momentum y' = x' + k/(k+r+1)*(x' - x)."""
-    return _entry("nag", state, oracle, s, r)
-
-
-def step_nag_phase(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
-    """Position-velocity form of step_nag; equal trajectories up to rounding."""
-    return _entry("nag-phase", state, oracle, s, r)
-
-
-def step_mnag(state: AlgoState, oracle: SmoothOracle, s: float, r: float) -> AlgoState:
-    """Monotone variant: accept z_k = y_k - s*grad f(y_k) only if it does not
-    increase f; ties accept z_k."""
-    return _entry("m-nag", state, oracle, s, r)
-
-
-def step_fista(state: AlgoState, problem: CompositeObjective, s: float, r: float) -> AlgoState:
-    """Proximal counterpart of step_nag driven by the proximal value of y_k."""
-    return _entry("fista", state, problem, s, r)
-
-
-def step_mfista(state: AlgoState, problem: CompositeObjective, s: float, r: float) -> AlgoState:
-    """Monotone proximal variant; the comparison is on phi = f + g."""
-    return _entry("m-fista", state, problem, s, r)
-
-
-def step_nag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
-    """Constant momentum (1 - sqrt(mu*s))/(1 + sqrt(mu*s)) for known mu."""
-    return _entry("nag-sc", state, oracle, s)
-
-
-def step_mnag_sc(state: AlgoState, oracle: SmoothOracle, s: float) -> AlgoState:
-    """Monotone constant-momentum variant; note the full (z - x') correction."""
-    return _entry("m-nag-sc", state, oracle, s)
 
 
 def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") -> Trace:

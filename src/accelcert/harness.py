@@ -241,6 +241,7 @@ def _violations(f: np.ndarray) -> list[int]:
     return [0] + (f[1:] > f[:-1]).astype(int).tolist()
 
 
+@np.errstate(over="ignore")  # a norm that overflows is written as inf
 def _grad_norm(cols) -> np.ndarray:
     # np.linalg.norm of a vector is sqrt(m . m); one np.dot per row keeps
     # its rounding, which a reduction over axis 1 does not.
@@ -610,11 +611,11 @@ def main(argv=None) -> int:
         if args.command == "preset":
             return _cmd_preset(args)
         return _cmd_certify(args)
-    except AccelCertError as exc:
+    except (AccelCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # e.g. the (iters+1, d) trace columns
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -56,22 +56,6 @@ def seq_T(trace: Trace, k: int, s: float, r: float) -> Vector:
     return (k + r) * rec.y - k * rec.x - (k + r) * s * rec.first_order_at_y
 
 
-@dataclass(frozen=True)
-class SequenceSample:
-    """One canonical-sequence vector tagged with its kind and index."""
-
-    kind: str
-    k: int
-    value: Vector
-
-
-def sample_sequence(trace: Trace, kind: str, k: int, s: float, r: float) -> SequenceSample:
-    fns = {"R": seq_R, "S": seq_S, "T": seq_T}
-    if kind not in fns:
-        raise ParameterError(f"unknown sequence kind {kind!r}; expected R, S or T")
-    return SequenceSample(kind=kind, k=k, value=fns[kind](trace, k, s, r))
-
-
 def tau(k: int, r: float) -> float:
     """Dynamic coefficient (k+1)(k+r+1) of the potential energy."""
     return (k + 1.0) * (k + r + 1.0)
@@ -254,6 +238,9 @@ def resolve_form(algo: str, form: str = "auto") -> str:
     return form
 
 
+# An energy, bound or margin that overflows becomes an inf or NaN, not a
+# warning; the finiteness rule at the end of certify fails its row.
+@np.errstate(over="ignore", invalid="ignore")
 def certify(
     trace: Trace,
     problem: Problem,

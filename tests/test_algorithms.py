@@ -26,7 +26,7 @@ def records_equal(a, b):
 # --- single-step transitions ------------------------------------------------
 
 def test_gd_step_1d():
-    state = ac.step_gd(initial_state([1.0]), quad1d(), 0.25)
+    state = ac.step("gd", initial_state([1.0]), quad1d(), 0.25)
     assert state.x == pytest.approx([0.5], rel=1e-15)
     assert np.array_equal(state.y, state.x)
     assert state.k == 1
@@ -34,17 +34,17 @@ def test_gd_step_1d():
 
 def test_gd_fixed_point(quad2d):
     oracle, optimum = quad2d
-    state = ac.step_gd(initial_state(optimum.x_star), oracle, 0.1)
+    state = ac.step("gd", initial_state(optimum.x_star), oracle, 0.1)
     assert np.array_equal(state.x, optimum.x_star)
 
 
 def test_gd_componentwise(quad2d):
-    state = ac.step_gd(initial_state([1.0, 1.0]), quad2d[0], 0.01)
+    state = ac.step("gd", initial_state([1.0, 1.0]), quad2d[0], 0.01)
     assert state.x == pytest.approx([0.9999, 0.98], rel=1e-14)
 
 
 def test_nag_first_step_has_no_momentum(quad2d):
-    state = ac.step_nag(initial_state([1.0, 1.0]), quad2d[0], 0.4, 2.0)
+    state = ac.step("nag", initial_state([1.0, 1.0]), quad2d[0], 0.4, 2.0)
     assert state.x == pytest.approx([0.996, 0.2], rel=1e-14)
     assert np.array_equal(state.y, state.x)
 
@@ -53,7 +53,7 @@ def test_nag_stationary_at_optimum(quad2d):
     oracle, optimum = quad2d
     state = initial_state(optimum.x_star)
     for _ in range(5):
-        state = ac.step_nag(state, oracle, 0.4, 2.0)
+        state = ac.step("nag", state, oracle, 0.4, 2.0)
         assert np.array_equal(state.x, optimum.x_star)
 
 
@@ -62,15 +62,15 @@ def test_phase_form_matches_two_point_form(quad2d):
     a = initial_state([1.0, 1.0])
     b = initial_state([1.0, 1.0])
     for _ in range(30):
-        a = ac.step_nag(a, oracle, 0.4, 2.0)
-        b = ac.step_nag_phase(b, oracle, 0.4, 2.0)
+        a = ac.step("nag", a, oracle, 0.4, 2.0)
+        b = ac.step("nag-phase", b, oracle, 0.4, 2.0)
         scale = 1.0 + np.linalg.norm(a.x)
         assert np.linalg.norm(a.x - b.x) <= 1e-12 * scale
         assert np.linalg.norm(a.y - b.y) <= 1e-12 * scale
 
 
 def test_phase_first_step_1d():
-    state = ac.step_nag_phase(initial_state([1.0]), quad1d(), 0.25, 2.0)
+    state = ac.step("nag-phase", initial_state([1.0]), quad1d(), 0.25, 2.0)
     # v1 = -sqrt(s) * f'(1) = -0.5 * 2 = -1, x1 = 1 + 0.5 * (-1) = 0.5
     assert state.v == pytest.approx([-1.0], rel=1e-15)
     assert state.x == pytest.approx([0.5], rel=1e-15)
@@ -78,7 +78,7 @@ def test_phase_first_step_1d():
 
 def test_mnag_accepts_descent_candidate(quad2d):
     oracle, _ = quad2d
-    state = ac.step_mnag(initial_state([1.0, 1.0]), oracle, 0.4, 2.0)
+    state = ac.step("m-nag", initial_state([1.0, 1.0]), oracle, 0.4, 2.0)
     assert oracle.value(state.z) == pytest.approx(0.04496008, rel=1e-12)
     assert np.array_equal(state.x, state.z)
     # y1 = x1 + 0 + (2/3)(z0 - x1) collapses onto x1 when z0 is accepted
@@ -91,7 +91,7 @@ def test_mnag_reject_branch_keeps_x(quad2d):
     x = np.array([0.0, 0.01])
     y = np.array([0.0, 1.0])
     state = AlgoState(k=5, x=x, y=y, v=np.zeros(2))
-    out = ac.step_mnag(state, oracle, 0.4, 2.0)
+    out = ac.step("m-nag", state, oracle, 0.4, 2.0)
     z = y - 0.4 * oracle.gradient(y)
     assert oracle.value(z) > oracle.value(x)
     assert np.array_equal(out.x, x)
@@ -101,7 +101,7 @@ def test_mnag_reject_branch_keeps_x(quad2d):
 
 def test_mnag_stationary_at_optimum(quad2d):
     oracle, optimum = quad2d
-    out = ac.step_mnag(initial_state(optimum.x_star), oracle, 0.4, 2.0)
+    out = ac.step("m-nag", initial_state(optimum.x_star), oracle, 0.4, 2.0)
     assert np.array_equal(out.x, optimum.x_star)
     assert np.array_equal(out.z, optimum.x_star)
 
@@ -109,14 +109,14 @@ def test_mnag_stationary_at_optimum(quad2d):
 def test_fista_zero_regularizer_is_nag_bitwise(quad2d):
     oracle, _ = quad2d
     composite = ac.as_composite(oracle)
-    a = ac.step_fista(initial_state([1.0, 1.0]), composite, 0.4, 2.0)
-    b = ac.step_nag(initial_state([1.0, 1.0]), oracle, 0.4, 2.0)
+    a = ac.step("fista", initial_state([1.0, 1.0]), composite, 0.4, 2.0)
+    b = ac.step("nag", initial_state([1.0, 1.0]), oracle, 0.4, 2.0)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 def test_fista_soft_thresholds_the_gradient_point():
     problem = ac.make_lasso(np.eye(1), [3.0], 1.0, ref_iters=1)[0]
-    state = ac.step_fista(initial_state([0.0]), problem, 0.5, 2.0)
+    state = ac.step("fista", initial_state([0.0]), problem, 0.5, 2.0)
     # grad f(0) = -3, gradient point 1.5, soft(1.5, 0.5) = 1.0
     assert state.x == pytest.approx([1.0], rel=1e-15)
     assert np.array_equal(state.x, ac.prox_value(problem, np.zeros(1), 0.5))
@@ -133,14 +133,14 @@ def test_fista_fixed_point_at_reference_optimum(identity_lasso):
 def test_mfista_zero_regularizer_is_mnag_bitwise(quad2d):
     oracle, _ = quad2d
     composite = ac.as_composite(oracle)
-    a = ac.step_mfista(initial_state([1.0, 1.0]), composite, 0.4, 2.0)
-    b = ac.step_mnag(initial_state([1.0, 1.0]), oracle, 0.4, 2.0)
+    a = ac.step("m-fista", initial_state([1.0, 1.0]), composite, 0.4, 2.0)
+    b = ac.step("m-nag", initial_state([1.0, 1.0]), oracle, 0.4, 2.0)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
 def test_mfista_compares_on_phi():
     problem = ac.make_lasso(np.eye(1), [3.0], 1.0, ref_iters=1)[0]
-    state = ac.step_mfista(initial_state([0.0]), problem, 0.5, 2.0)
+    state = ac.step("m-fista", initial_state([0.0]), problem, 0.5, 2.0)
     # phi(z0) = 0.5*(1-3)^2 + 1 = 3 < phi(0) = 4.5, so z0 is accepted.
     assert problem.phi_value(state.z) == pytest.approx(3.0, rel=1e-15)
     assert np.array_equal(state.x, state.z)
@@ -148,14 +148,14 @@ def test_mfista_compares_on_phi():
 
 def test_mfista_stationary_at_optimum(identity_lasso):
     problem, optimum = identity_lasso
-    out = ac.step_mfista(initial_state(optimum.x_star), problem, 0.5, 2.0)
+    out = ac.step("m-fista", initial_state(optimum.x_star), problem, 0.5, 2.0)
     assert np.linalg.norm(out.x - optimum.x_star) <= 1e-12
 
 
 def test_nag_sc_constant_momentum(quad2d):
     oracle, _ = quad2d
     s = 0.01
-    state = ac.step_nag_sc(initial_state([1.0, 1.0]), oracle, s)
+    state = ac.step("nag-sc", initial_state([1.0, 1.0]), oracle, s)
     x0 = np.array([1.0, 1.0])
     x1 = x0 - s * oracle.gradient(x0)
     coeff = (1.0 - math.sqrt(oracle.mu * s)) / (1.0 + math.sqrt(oracle.mu * s))
@@ -172,13 +172,13 @@ def test_nag_sc_coefficient_below_one():
 def test_nag_sc_rejects_mus_at_least_one():
     oracle = ac.make_quadratic([0.5])[0]  # mu = 1
     with pytest.raises(ParameterError):
-        ac.step_nag_sc(initial_state([1.0]), oracle, 1.0)
+        ac.step("nag-sc", initial_state([1.0]), oracle, 1.0)
 
 
 def test_mnag_sc_accept_branch(quad2d):
     oracle, _ = quad2d
     s = 0.01
-    state = ac.step_mnag_sc(initial_state([1.0, 1.0]), oracle, s)
+    state = ac.step("m-nag-sc", initial_state([1.0, 1.0]), oracle, s)
     coeff = (1.0 - math.sqrt(oracle.mu * s)) / (1.0 + math.sqrt(oracle.mu * s))
     x0 = np.array([1.0, 1.0])
     assert np.array_equal(state.x, state.z)
@@ -188,15 +188,53 @@ def test_mnag_sc_accept_branch(quad2d):
 def test_mnag_sc_reject_branch_moves_y_to_z(quad2d):
     oracle, _ = quad2d
     state = AlgoState(k=3, x=np.array([0.0, 0.01]), y=np.array([0.0, 1.0]), v=np.zeros(2))
-    out = ac.step_mnag_sc(state, oracle, 0.01)
+    out = ac.step("m-nag-sc", state, oracle, 0.01)
     assert np.array_equal(out.x, state.x)
     assert out.y == pytest.approx(out.z, rel=1e-15)
 
 
 def test_mnag_sc_stationary(quad2d):
     oracle, optimum = quad2d
-    out = ac.step_mnag_sc(initial_state(optimum.x_star), oracle, 0.01)
+    out = ac.step("m-nag-sc", initial_state(optimum.x_star), oracle, 0.01)
     assert np.array_equal(out.x, optimum.x_star)
+
+
+@pytest.mark.parametrize("algo", ac.ALGORITHMS)
+def test_step_from_the_start_is_record_one_of_run(quad2d, algo):
+    oracle = quad2d[0]
+    problem = ac.as_composite(oracle) if algo in ("fista", "m-fista") else oracle
+    trace = ac.run(problem, ac.RunParams(algo=algo, step=0.4, iters=1, momentum_r=2.0),
+                   [0.7, -1.3])
+    out = ac.step(algo, initial_state([0.7, -1.3]), problem, 0.4, 2.0)
+    rec0, rec1 = trace.records
+    assert out.k == 1
+    for got, want in ((out.x, rec1.x), (out.y, rec1.y), (out.v, rec1.v), (out.z, rec0.z)):
+        assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "algo, s, r",
+    [
+        ("sgd", 0.4, 2.0),
+        ("nag", 0.4, None),
+        ("m-fista", 0.4, None),
+        ("nag-phase", 0.4, 1.5),
+        ("gd", 0.0, None),
+        ("nag", -0.4, 2.0),
+        ("nag-sc", math.nan, None),
+        ("m-nag", math.inf, 2.0),
+        ("nag", 0.4, math.inf),
+    ],
+)
+def test_step_checks_its_parameters_as_run_params_does(quad2d, algo, s, r):
+    with pytest.raises(ParameterError):
+        ac.step(algo, initial_state([1.0, 1.0]), ac.as_composite(quad2d[0]), s, r)
+
+
+def test_step_replaces_the_per_scheme_entries():
+    assert not hasattr(ac, "step_nag")
+    assert not hasattr(ac, "sample_sequence")
+    assert not hasattr(ac, "SequenceSample")
 
 
 # --- parameter validation ---------------------------------------------------

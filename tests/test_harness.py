@@ -1,6 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -597,3 +601,40 @@ def test_loaded_trace_columns_are_the_validated_arrays(tmp_path, quad2d):
     assert all(np.shares_memory(cols.x, rec.x) for rec in recs)
     assert np.shares_memory(cols.map, recs[3].first_order_at_y)
     assert np.array_equal(cols.x, trace.columns.x)
+
+
+def test_overflowing_energy_fails_the_certificate_without_a_warning(tmp_path, capsys):
+    # x0 = 1e154 gives a finite f(x0) near 1e308, but the energy overflows.
+    argv = ["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4", "--r", "2",
+            "--x0=1e154,1e154", "--iters", "5", "--certify",
+            "--certificate-out", str(tmp_path / "c.json")]
+    trace = str(tmp_path / "t.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fmt, out in (("csv", str(tmp_path / "t.csv")), ("json", trace)):
+            assert harness.main(argv + ["--format", fmt, "--trace-out", out]) == 2
+            assert capsys.readouterr().err.startswith("certificate: FAIL at k=0")
+        assert harness.main(["certify", "--trace", trace, "--problem", "quad2d",
+                             "--out", str(tmp_path / "c2.json")]) == 2
+    assert capsys.readouterr().err == "certificate: FAIL at k=0\n"
+
+
+def test_out_of_memory_is_a_one_line_error(tmp_path):
+    # The address-space cap makes the (iters+1, d) columns fail to allocate;
+    # only the child process runs under it.
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))  # 1.5 GiB
+
+    # One BLAS thread keeps the child's own start-up reservations under the cap.
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "accelcert.harness", "run", "--problem", "quad2d", "--algo",
+         "gd", "--step", "0.4", "--iters", "1000000000000",
+         "--trace-out", str(tmp_path / "t.csv")],
+        env=env, preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1

@@ -3,7 +3,7 @@
 ``reference_step`` writes the eight transitions out one scheme at a time,
 each with its own gradient or proximal step and momentum line, and
 ``reference_run`` records them as ``run`` does. The library's runs and
-public ``step_*`` functions must reproduce every bit of them, -0.0 included.
+public ``step`` must reproduce every bit of them, -0.0 included.
 """
 
 import math
@@ -15,18 +15,9 @@ import accelcert as ac
 from accelcert.algorithms import AlgoState, initial_state
 
 SMOOTH_ALGOS = ("gd", "nag", "nag-phase", "m-nag", "nag-sc", "m-nag-sc")
-#: Schemes whose step takes no momentum parameter r.
+#: Schemes that take no momentum parameter r; ``step`` ignores the r it is given.
 NO_R = ("gd", "nag-sc", "m-nag-sc")
-STEPS = {
-    "gd": ac.step_gd,
-    "nag": ac.step_nag,
-    "nag-phase": ac.step_nag_phase,
-    "m-nag": ac.step_mnag,
-    "fista": ac.step_fista,
-    "m-fista": ac.step_mfista,
-    "nag-sc": ac.step_nag_sc,
-    "m-nag-sc": ac.step_mnag_sc,
-}
+ALGOS = ("gd", "nag", "nag-phase", "m-nag", "fista", "m-fista", "nag-sc", "m-nag-sc")
 
 
 def _prox(problem, y, s):
@@ -142,7 +133,7 @@ def _problem(name, algo, quad2d, lasso5):
 
 
 @pytest.mark.parametrize("name", ["quad2d", "diag50", "lasso5"])
-@pytest.mark.parametrize("algo", list(STEPS))
+@pytest.mark.parametrize("algo", ALGOS)
 def test_run_matches_reference_formulas_bitwise(quad2d, lasso5, name, algo):
     problem, s, r, x0 = _problem(name, algo, quad2d, lasso5)
     r_param = None if algo in NO_R else r
@@ -156,22 +147,16 @@ def test_run_matches_reference_formulas_bitwise(quad2d, lasso5, name, algo):
             assert_same_bits(got, ref, f"record {rec.k} {field}")
 
 
-def _call(algo, state, problem, s, r):
-    if algo in NO_R:
-        return STEPS[algo](state, problem, s)
-    return STEPS[algo](state, problem, s, r)
-
-
 def _assert_step_matches(algo, state, problem, s, r):
     fx = _value(problem)(state.x)
     want = reference_step(algo, state, problem, s, r, fx)[0]
-    got = _call(algo, state, problem, s, r)
+    got = ac.step(algo, state, problem, s, r)
     assert got.k == want.k
     for field in ("x", "y", "v", "z"):
         assert_same_bits(getattr(got, field), getattr(want, field), field)
 
 
-@pytest.mark.parametrize("algo", [a for a in STEPS if a != "gd"])
+@pytest.mark.parametrize("algo", [a for a in ALGOS if a != "gd"])
 @pytest.mark.parametrize("k", [0, 1, 7])
 def test_public_steps_match_reference_with_y_apart_from_x(quad2d, algo, k):
     # Overshooting y makes the monotone schemes reject z at the larger k.
@@ -182,14 +167,14 @@ def test_public_steps_match_reference_with_y_apart_from_x(quad2d, algo, k):
 
 
 @pytest.mark.parametrize("name", ["quad2d", "lasso5"])
-@pytest.mark.parametrize("algo", list(STEPS))
+@pytest.mark.parametrize("algo", ALGOS)
 def test_public_steps_match_reference_from_signed_zero(quad2d, lasso5, name, algo):
     problem, s, r, _ = _problem(name, algo, quad2d, lasso5)
     x0 = [-0.0, 0.0] if name == "quad2d" else [-0.0, 0.0, -0.0, 0.0, -0.0]
     state = initial_state(x0)
     for _ in range(3):
         _assert_step_matches(algo, state, problem, s, r)
-        state = _call(algo, state, problem, s, r)
+        state = ac.step(algo, state, problem, s, r)
 
 
 def test_gd_steps_from_y(quad2d):
@@ -198,7 +183,7 @@ def test_gd_steps_from_y(quad2d):
     oracle = quad2d[0]
     s = 0.4
     x, y = np.array([0.0, 0.01]), np.array([0.3, 1.0])
-    out = ac.step_gd(AlgoState(k=3, x=x, y=y, v=np.zeros(2)), oracle, s)
+    out = ac.step("gd", AlgoState(k=3, x=x, y=y, v=np.zeros(2)), oracle, s)
     x1 = y - s * oracle.gradient(y)
     assert_same_bits(out.x, x1, "x")
     assert out.y is out.x

@@ -82,14 +82,6 @@ def test_sequence_range_check(nag_trace):
         ac.seq_R(nag_trace, len(nag_trace.records), S, R)
 
 
-def test_sample_sequence_tags_vectors(nag_trace):
-    sample = ac.sample_sequence(nag_trace, "S", 0, S, R)
-    assert sample.kind == "S" and sample.k == 0
-    assert np.array_equal(sample.value, ac.seq_S(nag_trace, 0, S, R))
-    with pytest.raises(ParameterError):
-        ac.sample_sequence(nag_trace, "Q", 0, S, R)
-
-
 def test_energy_hand_values_at_zero(nag_trace, quad2d):
     breakdown = ac.energy(nag_trace, 0, S, R, quad2d[1], "velocity")
     assert breakdown.tau == pytest.approx(3.0)

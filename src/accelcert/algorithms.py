@@ -55,7 +55,7 @@ ALGORITHMS = (
 R_FAMILY_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
 #: Algorithms with a comparison step (function values never increase).
 MONOTONE_ALGOS = frozenset({"m-nag", "m-fista", "m-nag-sc"})
-#: Algorithms driven by the proximal subgradient of a composite objective.
+#: Algorithms that run on an l1 regularizer; every algorithm runs on g = 0.
 COMPOSITE_ALGOS = frozenset({"fista", "m-fista"})
 
 
@@ -235,22 +235,16 @@ def _phase_step(state, problem, s, fx=None, *, r):
 
 
 def composite_for(problem: Problem, algo: str) -> CompositeObjective:
-    """The composite objective ``algo`` steps on; raises InvalidProblemError
-    when ``algo`` cannot run on ``problem``.
+    """``as_composite(problem)``, the composite objective ``algo`` steps on.
 
-    Composite algorithms need a composite problem. The others take a smooth
-    oracle, which gets a zero regularizer, or a composite whose regularizer
-    is zero.
+    Every scheme runs on a smooth oracle, which gets the zero regularizer;
+    on it fista and m-fista are nag and m-nag bit for bit. An l1 regularizer
+    needs fista or m-fista: other schemes raise InvalidProblemError.
     """
-    if algo in COMPOSITE_ALGOS:
-        if not isinstance(problem, CompositeObjective):
-            raise InvalidProblemError(f"{algo} requires a composite objective")
-        return problem
-    if not isinstance(problem, CompositeObjective):
-        return as_composite(problem)
-    if problem.regularizer_kind != "zero":
+    work = as_composite(problem)
+    if work.regularizer_kind != "zero" and algo not in COMPOSITE_ALGOS:
         raise InvalidProblemError(f"{algo} handles smooth objectives only; use fista/m-fista")
-    return problem
+    return work
 
 
 def _transition(algo: str, problem: CompositeObjective, s: float, r: float | None):
@@ -267,8 +261,9 @@ def step(
 
     ``algo``, ``s`` and ``r`` pass the checks ``RunParams`` applies to a run
     (a known algorithm, s positive and finite, r >= 2 for the r family; r is
-    ignored by gd, nag-sc and m-nag-sc), and ``problem`` the problem-kind
-    check of ``composite_for``. Unlike ``run``, s is not held to (0, 1/L).
+    ignored by gd, nag-sc and m-nag-sc). ``problem`` is a smooth oracle or a
+    composite objective, as ``composite_for`` accepts it. Unlike ``run``, s
+    is not held to (0, 1/L).
     """
     RunParams(algo=algo, step=s, iters=1, momentum_r=r)
     work = composite_for(problem, algo)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lyapunov, problems
+from . import lyapunov
 from .algorithms import (
     R_FAMILY_ALGOS,
     ALGORITHMS,
@@ -31,12 +31,11 @@ from .algorithms import (
     RunParams,
     Trace,
     TraceColumns,
-    composite_for,
     run,
 )
 from .errors import AccelCertError, ParameterError
 from .lyapunov import CERTIFIABLE_ALGOS
-from .problems import as_composite, json_floats, resolve_problem
+from .problems import json_floats, resolve_problem
 
 
 class UsageError(AccelCertError):
@@ -206,23 +205,13 @@ def preset(name: str) -> list[ExperimentConfig]:
     raise UsageError(f"unknown preset {name!r}; available: fig1, fig2")
 
 
-def _resolve_for(name: str, algo: str):
-    """The problem ``name`` as the composite objective ``algo`` runs on, and
-    its optimum; raises InvalidProblemError where ``run`` would. Smooth
-    problems get a zero regularizer, so fista/m-fista run on them too."""
-    problem, optimum = resolve_problem(name)
-    if isinstance(problem, problems.SmoothOracle):
-        problem = as_composite(problem)
-    return composite_for(problem, algo), optimum
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Run one configured experiment; returns (trace, certificate or None).
 
     Writes the trace to cfg.trace_path and, when certifying, the
     certificate JSON to cfg.certificate_path.
     """
-    problem, optimum = _resolve_for(cfg.problem, cfg.algo)
+    problem, optimum = resolve_problem(cfg.problem)
     x0 = np.ones(problem.dim) if cfg.x0 == "ones" else cfg.x0
     trace = run(problem, _run_params(cfg), x0, problem_id=cfg.problem)
 
@@ -587,7 +576,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_certify(args) -> int:
     trace = load_trace(args.trace)
-    problem, optimum = _resolve_for(args.problem, trace.params.algo)
+    problem, optimum = resolve_problem(args.problem)
     certificate = lyapunov.certify(trace, problem, optimum, form=args.energy_form)
     if args.out:
         with open(args.out, "w") as fh:

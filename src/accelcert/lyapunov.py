@@ -16,7 +16,7 @@ import numpy as np
 
 from .algorithms import MONOTONE_ALGOS, Trace, composite_for
 from .errors import ParameterError
-from .problems import OptimumInfo, Problem, Vector, smooth_part
+from .problems import OptimumInfo, Problem, Vector
 from .proximal import require_step
 
 #: Algorithms covered by the rate and decrease certificates.
@@ -166,12 +166,15 @@ def theorem_bound(
         / [k*(k+r)*(1 + (1 - L*s)*mu*s/4)^k]
 
     The numerator is built from the first iterate x_1, not the start point.
+    The power is a float64 power, equal to Python's below overflow; past
+    about 1.8e308 it is inf and the bound 0.0.
     """
     if k < 1:
         raise ParameterError("the rate bound starts at k >= 1")
     numerator = (r + 1.0) * f1_gap + r * r * lipschitz * x1_dist_sq
-    denominator = k * (k + r) * rate_factor(mu, s, lipschitz) ** k
-    return numerator / denominator
+    with np.errstate(over="ignore"):
+        power = float(np.float64(rate_factor(mu, s, lipschitz)) ** k)
+    return numerator / (k * (k + r) * power)
 
 
 @dataclass(frozen=True)
@@ -255,17 +258,17 @@ def certify(
     slack: ANALYTIC_TOLS (1e-8, 1e-12) for analytic optima and
     REFERENCE_TOLS (1e-6, 1e-9) for reference-run optima, whose f* carries
     solver error. A row whose gap, bound or energy is not finite fails at
-    any k. As in ``run``, a problem the trace's scheme cannot run on raises
-    InvalidProblemError, and a step outside (0, 1/L) of that problem raises
-    StepSizeError.
+    any k; past about 1.8e308 the rate power is inf and the bound 0.0. As in
+    ``run``, ``problem`` is a smooth oracle or a composite objective; one
+    that ``composite_for`` refuses for the trace's scheme raises
+    InvalidProblemError, and a step outside (0, 1/L) raises StepSizeError.
     """
     algo = trace.params.algo
     if algo not in CERTIFIABLE_ALGOS:
         raise ParameterError(f"no certificate available for algorithm {algo!r}")
     if optimum is None:
         raise ParameterError("certification requires an optimum")
-    composite_for(problem, algo)  # the problem-kind check run applies
-    oracle = smooth_part(problem)
+    oracle = composite_for(problem, algo).smooth
     s = trace.params.step
     require_step(s, oracle.lipschitz)
     r = trace.params.momentum_r
@@ -296,9 +299,9 @@ def certify(
 
     energies = _energies(cols, s, r, optimum, form)
     # Bound for k = 1..n, as theorem_bound computes it; the power stays a
-    # Python float power, whose last bits np.power does not reproduce.
+    # scalar power per k, whose last bits np.power does not reproduce.
     ks = np.arange(1, n + 1, dtype=float)
-    rate = rate_factor(mu, s, lipschitz)
+    rate = np.float64(rate_factor(mu, s, lipschitz))
     numerator = (r + 1.0) * f1_gap + r * r * lipschitz * x1_dist_sq
     bounds = numerator / (ks * (ks + r) * np.array([rate ** k for k in range(1, n + 1)]))
     bound_ok = np.ones(n + 1, dtype=bool)

@@ -144,9 +144,12 @@ def smooth_part(problem: Problem) -> SmoothOracle:
     return problem.smooth if isinstance(problem, CompositeObjective) else problem
 
 
-def as_composite(oracle: SmoothOracle) -> CompositeObjective:
-    """Wrap a smooth oracle as a composite problem with g identically zero."""
-    return CompositeObjective(smooth=oracle, regularizer_kind="zero")
+def as_composite(problem: Problem) -> CompositeObjective:
+    """``problem`` as a composite objective, the one place a problem's kind is
+    decided: a composite passes through, a smooth oracle gets g = 0."""
+    if isinstance(problem, CompositeObjective):
+        return problem
+    return CompositeObjective(smooth=problem, regularizer_kind="zero")
 
 
 def make_quadratic(coefficients) -> tuple[SmoothOracle, OptimumInfo]:
@@ -215,8 +218,12 @@ def make_lasso(
     if ref_iters < 1:
         raise InvalidProblemError("reference run needs at least one iteration")
 
-    AtA = A.T @ A
-    Atb = A.T @ b
+    # An overflow here is reported as the error below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        AtA = A.T @ A
+        Atb = A.T @ b
+    if not (np.all(np.isfinite(AtA)) and np.all(np.isfinite(Atb))):
+        raise InvalidProblemError("design too large: A^T A or A^T b overflows")
     eigvals = np.linalg.eigvalsh(AtA)
     mu, lipschitz = float(eigvals[0]), float(eigvals[-1])
     if mu <= 1e-12 * max(lipschitz, 1.0):
@@ -304,8 +311,9 @@ def finite_diff_gradient(oracle: SmoothOracle, x, h: float) -> Vector:
 
 
 # Runtime numeric checks for the inequalities the convergence analysis rests
-# on. Each returns a normalized slack ((satisfied side) - (other side),
-# scaled by 1 + |lhs| + |rhs|); a valid oracle keeps it above roughly -1e-9.
+# on; the fundamental and key inequalities are in ``proximal``. Each returns
+# a normalized slack ((satisfied side) - (other side), scaled by
+# 1 + |lhs| + |rhs|); a valid oracle keeps it above roughly -1e-9.
 
 def _normalized(satisfied: float, other: float) -> float:
     return (satisfied - other) / (1.0 + abs(satisfied) + abs(other))
@@ -331,34 +339,6 @@ def gradient_lipschitz_slack(oracle: SmoothOracle, x, y) -> float:
     y = _as_vector(y, oracle.dim)
     lhs = oracle.lipschitz * float(np.linalg.norm(x - y))
     rhs = float(np.linalg.norm(oracle.gradient(x) - oracle.gradient(y)))
-    return _normalized(lhs, rhs)
-
-
-def fundamental_inequality_slack(oracle: SmoothOracle, x, y, s: float) -> float:
-    """Slack of the descent inequality behind the potential-energy estimates.
-
-    f(y - s*grad f(y)) - f(x) <= <grad f(y), y - x> - (mu/2)||y - x||^2
-                                 - (s - L s^2 / 2)||grad f(y)||^2
-    """
-    x = _as_vector(x, oracle.dim)
-    y = _as_vector(y, oracle.dim)
-    g = oracle.gradient(y)
-    lhs = oracle.value(y - s * g) - oracle.value(x)
-    diff = y - x
-    rhs = (
-        float(np.dot(g, diff))
-        - 0.5 * oracle.mu * float(np.dot(diff, diff))
-        - (s - oracle.lipschitz * s * s / 2.0) * float(np.dot(g, g))
-    )
-    return _normalized(rhs, lhs)
-
-
-def key_inequality_slack(oracle: SmoothOracle, y, s: float, f_star: float) -> float:
-    """Slack of ||grad f(y)||^2 >= 2 mu (f(y - s*grad f(y)) - f*)."""
-    y = _as_vector(y, oracle.dim)
-    g = oracle.gradient(y)
-    lhs = float(np.dot(g, g))
-    rhs = 2.0 * oracle.mu * (oracle.value(y - s * g) - f_star)
     return _normalized(lhs, rhs)
 
 

@@ -1,4 +1,4 @@
-"""Proximal value / subgradient for composite objectives.
+"""Proximal value / subgradient, and the fundamental and key inequalities.
 
 For step size s in (0, 1/L), the proximal value P(x) minimizes
 (1/2s)||y - (x - s*grad f(x))||^2 + g(y) over y, and the proximal
@@ -10,6 +10,9 @@ There is one proximal path: ``prox_step`` computes P(x) and G(x) from one
 gradient evaluation without checking its inputs, and the step kernel in
 ``algorithms`` calls it directly. ``prox_eval`` is its validated wrapper,
 and ``prox_value`` and ``prox_subgradient`` read their values from it.
+
+Every public function here also takes a smooth oracle, which
+``problems.as_composite`` gives the zero regularizer.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, StepSizeError, UnsupportedRegularizerError
-from .problems import CompositeObjective, Vector, _as_vector, _normalized
+from .problems import CompositeObjective, Problem, Vector, _as_vector, _normalized, as_composite
 
 
 def require_step(s: float, lipschitz: float) -> None:
@@ -66,25 +69,26 @@ def prox_step(problem: CompositeObjective, x: Vector, s: float) -> tuple[Vector,
     return p, (x - p) / s
 
 
-def prox_eval(problem: CompositeObjective, x, s: float) -> ProxResult:
+def prox_eval(problem: Problem, x, s: float) -> ProxResult:
     """Bundle P(x) and G(x) computed from a single gradient evaluation."""
+    problem = as_composite(problem)
     require_step(s, problem.smooth.lipschitz)
     p, g = prox_step(problem, _as_vector(x, problem.dim), s)
     return ProxResult(p_value=p, subgradient=g, step=s)
 
 
-def prox_value(problem: CompositeObjective, x, s: float) -> Vector:
+def prox_value(problem: Problem, x, s: float) -> Vector:
     """Proximal value P(x) for a zero or l1 regularizer (see prox_step)."""
     return prox_eval(problem, x, s).p_value
 
 
-def prox_subgradient(problem: CompositeObjective, x, s: float) -> Vector:
+def prox_subgradient(problem: Problem, x, s: float) -> Vector:
     """Proximal subgradient G(x) = (x - P(x))/s, grad f(x) when g is zero."""
     return prox_eval(problem, x, s).subgradient
 
 
 def prox_bruteforce(
-    problem: CompositeObjective,
+    problem: Problem,
     x,
     s: float,
     radius: float | None = None,
@@ -100,6 +104,7 @@ def prox_bruteforce(
     ``radius`` defaults to 10*(1 + |u_i|); refinement stops once the cell
     width is at most ``grid_step``. Never uses the closed form.
     """
+    problem = as_composite(problem)
     if problem.regularizer_kind not in ("zero", "l1"):
         raise UnsupportedRegularizerError(
             f"grid oracle needs a separable regularizer, got {problem.regularizer_kind!r}"
@@ -129,13 +134,14 @@ def prox_bruteforce(
     return out
 
 
-def composite_fundamental_slack(problem: CompositeObjective, x, y, s: float) -> float:
-    """Slack of the composite descent inequality (proximal counterpart of the
-    smooth one in problems.fundamental_inequality_slack):
+def composite_fundamental_slack(problem: Problem, x, y, s: float) -> float:
+    """Slack of the descent inequality behind the potential-energy estimates;
+    with g zero, G is grad f and it is the smooth inequality:
 
     phi(y - s G(y)) - phi(x) <= <G(y), y - x> - (mu/2)||y - x||^2
                                 - (s - L s^2 / 2)||G(y)||^2
     """
+    problem = as_composite(problem)
     x = _as_vector(x, problem.dim)
     y = _as_vector(y, problem.dim)
     res = prox_eval(problem, y, s)
@@ -152,8 +158,9 @@ def composite_fundamental_slack(problem: CompositeObjective, x, y, s: float) -> 
     return _normalized(rhs, lhs)
 
 
-def composite_key_slack(problem: CompositeObjective, y, s: float, phi_star: float) -> float:
+def composite_key_slack(problem: Problem, y, s: float, phi_star: float) -> float:
     """Slack of ||G(y)||^2 >= 2 mu (phi(y - s G(y)) - phi*)."""
+    problem = as_composite(problem)
     y = _as_vector(y, problem.dim)
     g = prox_eval(problem, y, s).subgradient
     lhs = float(np.dot(g, g))

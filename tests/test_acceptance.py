@@ -10,7 +10,6 @@ import numpy as np
 from conftest import LASSO5_A, LASSO5_B, LASSO5_LAM
 
 import accelcert as ac
-from accelcert.problems import fundamental_inequality_slack, key_inequality_slack
 from accelcert.proximal import composite_fundamental_slack, composite_key_slack
 
 S, R = 0.4, 2.0
@@ -192,8 +191,8 @@ def test_c10_inequality_suites(quad2d, lasso5):
         x = rng.uniform(-8.0, 8.0, 2)
         y = rng.uniform(-8.0, 8.0, 2)
         s = float(rng.uniform(0.01, 0.999)) / oracle.lipschitz
-        worst = min(worst, fundamental_inequality_slack(oracle, x, y, s))
-        worst = min(worst, key_inequality_slack(oracle, y, s, optimum.f_star))
+        worst = min(worst, composite_fundamental_slack(oracle, x, y, s))
+        worst = min(worst, composite_key_slack(oracle, y, s, optimum.f_star))
     for _ in range(100):
         x = rng.uniform(-4.0, 4.0, 5)
         y = rng.uniform(-4.0, 4.0, 5)

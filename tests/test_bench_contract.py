@@ -1,8 +1,10 @@
 """The names the benchmark under ``perfbench/`` reads from the package.
 
 ``perfbench/tracing.py`` wraps the entry points in ``BOUNDARIES`` and reads
-``Trace.records``, ``Certificate.rows`` and ``_core.backend_name``; a rename
-in the package would otherwise surface only in the benchmark's self-test.
+``Trace.records``, ``Certificate.rows``, ``problems.smooth_part`` and
+``_core.backend_name``; ``perfbench/run.py`` times ``problems.resolve_s`` by
+patching ``harness.resolve_problem``. A rename in the package would
+otherwise surface only in the benchmark's self-test.
 """
 
 import ast
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import accelcert as ac
-from accelcert import _core
+from accelcert import _core, harness, problems
 from accelcert import lyapunov as ly
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -55,3 +57,28 @@ def test_trace_records_and_certificate_rows(quad2d):
     cert = ac.certify(trace, oracle, optimum)
     assert len(cert.rows) == len(records)
     assert len(ly.certificate_to_dict(cert)["rows"]) == len(records)
+
+
+def test_smooth_part_reads_either_problem_kind(quad2d, lasso5):
+    oracle, problem = quad2d[0], lasso5[0]
+    assert problems.smooth_part(oracle) is oracle
+    assert problems.smooth_part(problem) is problem.smooth
+
+
+def test_run_and_certify_resolve_the_problem_once_through_harness(tmp_path, monkeypatch):
+    calls = []
+
+    def resolve(name):
+        calls.append(name)
+        return problems.resolve_problem(name)
+
+    monkeypatch.setattr(harness, "resolve_problem", resolve)
+    tr = str(tmp_path / "t.json")
+    assert harness.main(["run", "--problem", "quad2d", "--algo", "m-fista", "--step", "0.4",
+                         "--r", "2", "--iters", "20", "--certify", "--format", "json",
+                         "--trace-out", tr,
+                         "--certificate-out", str(tmp_path / "c.json")]) == 0
+    assert calls == ["quad2d"]
+    assert harness.main(["certify", "--trace", tr, "--problem", "quad2d",
+                         "--out", str(tmp_path / "c2.json")]) == 0
+    assert calls == ["quad2d", "quad2d"]

@@ -638,3 +638,37 @@ def test_out_of_memory_is_a_one_line_error(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
+def test_rate_power_overflow_ends_in_a_certificate(tmp_path):
+    # rate = 1.0625 at s = 0.25 on quad-diag:1,1; rate**k passes 1.8e308
+    # near k = 11,700, where the bound becomes 0.0.
+    rc = harness.main(["run", "--problem", "quad-diag:1,1", "--algo", "nag", "--step", "0.25",
+                       "--r", "2", "--iters", "12000", "--certify", "--format", "json",
+                       "--trace-out", str(tmp_path / "t.json"),
+                       "--certificate-out", str(tmp_path / "c.json")])
+    assert rc in (0, 2)
+    assert json.loads((tmp_path / "c.json").read_text())["rows"][-1]["bound"] == 0.0
+
+
+def test_lasso_design_that_overflows_is_a_one_line_error(tmp_path, capsys):
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"A": [[1e308, 0], [0, 1e308]], "b": [1, 1], "lambda": 0.1}))
+    rc = harness.main(["run", "--problem", f"lasso:{lasso}", "--algo", "fista", "--step", "0.1",
+                       "--r", "2", "--trace-out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
+
+
+def test_library_certifies_a_cli_fista_trace_on_the_smooth_oracle(tmp_path, quad2d):
+    # The CLI runs fista on quad2d; the library takes the same smooth oracle.
+    tr, out = tmp_path / "t.json", tmp_path / "c.json"
+    assert harness.main(["run", "--problem", "quad2d", "--algo", "fista", "--step", "0.4",
+                         "--r", "2", "--iters", "200", "--format", "json",
+                         "--trace-out", str(tr)]) == 0
+    assert harness.main(["certify", "--trace", str(tr), "--problem", "quad2d",
+                         "--out", str(out)]) == 0
+    certificate = ac.certify(load_trace(str(tr)), *quad2d)
+    text = json.dumps(ac.lyapunov.certificate_to_dict(certificate)) + "\n"
+    assert text == out.read_text()

@@ -21,9 +21,12 @@ ALGOS = ("gd", "nag", "nag-phase", "m-nag", "fista", "m-fista", "nag-sc", "m-nag
 
 
 def _prox(problem, y, s):
-    g = problem.smooth.gradient(y)
-    if problem.regularizer_kind == "zero":
+    """(P(y), G(y)): a gradient step on a smooth oracle, a soft-thresholded
+    one on an l1 problem."""
+    if not isinstance(problem, ac.CompositeObjective):
+        g = problem.gradient(y)
         return y - s * g, g
+    g = problem.smooth.gradient(y)
     p = np.sign(y - s * g) * np.maximum(np.abs(y - s * g) - problem.l1_weight * s, 0.0)
     return p, (y - p) / s
 
@@ -98,11 +101,7 @@ def reference_run(algo, problem, s, r, x0, iters):
         new, m, z, f1 = reference_step(algo, state, problem, s, r, fx)
         rows.append((state.x, state.y, state.v, z, m, fx))
         state, fx = new, f1
-    if isinstance(problem, ac.CompositeObjective):
-        m = _prox(problem, state.y, s)[1]
-    else:
-        m = problem.gradient(state.y)
-    rows.append((state.x, state.y, state.v, None, m, fx))
+    rows.append((state.x, state.y, state.v, None, _prox(problem, state.y, s)[1], fx))
     return rows
 
 
@@ -127,8 +126,6 @@ def _problem(name, algo, quad2d, lasso5):
         problem, s, x0, r = lasso5[0], 0.3, [0.3, -0.2, 0.5, 1.0, -1.0], 3.0
         if algo in SMOOTH_ALGOS:
             problem = problem.smooth
-    if algo in ("fista", "m-fista") and not isinstance(problem, ac.CompositeObjective):
-        problem = ac.as_composite(problem)
     return problem, s, r, x0
 
 

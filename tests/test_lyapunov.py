@@ -172,6 +172,33 @@ def test_theorem_bound_zero_numerator():
         assert ac.theorem_bound(k, R, S, 0.01, 2.0, 0.0, 0.0) == 0.0
 
 
+def test_theorem_bound_past_float_overflow_is_zero():
+    # rate = 1.0625 (mu = L = 2, s = 0.25): rate**12000 is past 1.8e308.
+    assert ac.theorem_bound(12000, 2, 0.25, 2, 2, 1, 1) == 0.0
+
+
+def test_float64_rate_power_keeps_python_power_bits():
+    # certify and theorem_bound take rate**k as a float64 power so that it
+    # overflows to inf; below overflow it must be Python's power, bit for bit.
+    rng = np.random.default_rng(41)
+    rates = [ly.rate_factor(mu, s, 1.0) for mu, s in rng.uniform(1e-6, 1.0, (60, 2))]
+    rates += [ly.rate_factor(1e-6, 0.5, 1.0), ly.rate_factor(1.0, 0.5, 1.0)]
+    ks = list(range(1, 300)) + np.unique(np.geomspace(300, 60_000, 150).astype(int)).tolist()
+    overflowed = 0
+    with np.errstate(over="ignore"):
+        for rate in rates:
+            for k in ks:
+                got = np.float64(rate) ** k
+                try:
+                    want = rate ** k
+                except OverflowError:
+                    assert got == np.inf
+                    overflowed += 1
+                    continue
+                assert got.tobytes() == np.float64(want).tobytes(), (rate, k)
+    assert overflowed > 0
+
+
 def test_theorem_bound_rejects_k_zero():
     with pytest.raises(ParameterError):
         ac.theorem_bound(0, R, S, 0.01, 2.0, 1.0, 1.0)
@@ -282,12 +309,10 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
     from accelcert.harness import emit_trace
 
     problem, optimum, s, r, x0 = _per_k_case(name, quad2d, lasso5)
-    if algo in ("fista", "m-fista") and not isinstance(problem, ac.CompositeObjective):
-        problem = ac.as_composite(problem)
     params = ac.RunParams(algo=algo, step=s, iters=300, momentum_r=r)
     trace = ac.run(problem, params, x0, problem_id=name)
     cert = ac.certify(trace, problem, optimum)
-    oracle = ly.smooth_part(problem)
+    oracle = ac.problems.smooth_part(problem)
     form = ly.resolve_form(algo)
     f1_gap = trace.records[1].f_or_phi_at_x - optimum.f_star
     diff1 = trace.records[1].x - optimum.x_star

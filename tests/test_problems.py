@@ -8,13 +8,8 @@ from conftest import LASSO5_A, LASSO5_B, LASSO5_LAM
 import accelcert as ac
 from accelcert import _core
 from accelcert.errors import InvalidProblemError
-from accelcert.problems import (
-    fundamental_inequality_slack,
-    gradient_lipschitz_slack,
-    key_inequality_slack,
-    resolve_problem,
-    strong_convexity_slack,
-)
+from accelcert.problems import gradient_lipschitz_slack, resolve_problem, strong_convexity_slack
+from accelcert.proximal import composite_fundamental_slack, composite_key_slack
 
 
 def test_quadratic_figure_instance(quad2d):
@@ -218,8 +213,8 @@ def test_smooth_inequalities_hold_on_random_samples(quad2d):
         x = rng.uniform(-10.0, 10.0, 2)
         y = rng.uniform(-10.0, 10.0, 2)
         s = float(rng.uniform(0.01, 0.999)) / oracle.lipschitz
-        assert fundamental_inequality_slack(oracle, x, y, s) >= -1e-9
-        assert key_inequality_slack(oracle, y, s, optimum.f_star) >= -1e-9
+        assert composite_fundamental_slack(oracle, x, y, s) >= -1e-9
+        assert composite_key_slack(oracle, y, s, optimum.f_star) >= -1e-9
         assert strong_convexity_slack(oracle, x, y) >= -1e-9
         assert gradient_lipschitz_slack(oracle, x, y) >= -1e-9
 

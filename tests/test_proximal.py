@@ -35,9 +35,15 @@ def test_soft_threshold_rejects_negative_level():
         ac.soft_threshold([1.0], -0.1)
 
 
-def test_prox_value_zero_regularizer_is_gradient_step():
+def test_prox_value_zero_regularizer_is_gradient_step(quad2d):
     problem, _ = zero_quad([1.0])
     assert ac.prox_value(problem, [1.0], 0.25) == pytest.approx([0.5], rel=1e-15)
+    # A smooth oracle is taken as itself with the zero regularizer.
+    oracle, _ = quad2d
+    x, s = np.array([0.7, -1.3]), 0.4
+    step = x - s * oracle.gradient(x)
+    assert np.array_equal(ac.prox_value(oracle, x, s), step)
+    assert ac.prox_bruteforce(oracle, x, s) == pytest.approx(step, abs=1e-6)
 
 
 def test_prox_value_l1_soft_thresholds_gradient_step():

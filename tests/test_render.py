@@ -61,13 +61,6 @@ def reference_certificate(certificate) -> str:
     return json.dumps(ly.certificate_to_dict(certificate), check_circular=False) + "\n"
 
 
-def _work_problem(algo, quad2d, lasso5, on_lasso):
-    problem, optimum = lasso5 if on_lasso else quad2d
-    if algo in ("fista", "m-fista") and not isinstance(problem, ac.CompositeObjective):
-        problem = ac.as_composite(problem)
-    return problem, optimum
-
-
 def _write(tmp_path, trace, optimum, certificate=None):
     """emit_trace's JSON trace and certificate bytes (certificate None if absent)."""
     tr, cert = tmp_path / "t.json", tmp_path / "c.json"
@@ -107,7 +100,7 @@ CASES = [
 @pytest.mark.parametrize("name,algo,step,r", CASES)
 def test_render_matches_json_dumps_for_every_scheme(tmp_path, quad2d, lasso5, name, algo, step,
                                                     r):
-    problem, optimum = _work_problem(algo, quad2d, lasso5, name == "lasso5")
+    problem, optimum = lasso5 if name == "lasso5" else quad2d
     x0 = [0.7, -1.3] if name == "quad2d" else [0.3, -0.2, 0.5, 1.0, -1.0]
     params = ac.RunParams(algo=algo, step=step, iters=400, momentum_r=r)
     trace = ac.run(problem, params, x0, problem_id=name)

@@ -15,7 +15,6 @@ from .errors import (
     InvalidProblemError,
     ParameterError,
     StepSizeError,
-    UnsupportedRegularizerError,
 )
 from .lyapunov import (
     Certificate,

@@ -55,7 +55,7 @@ ALGORITHMS = (
 R_FAMILY_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
 #: Algorithms with a comparison step (function values never increase).
 MONOTONE_ALGOS = frozenset({"m-nag", "m-fista", "m-nag-sc"})
-#: Algorithms that run on an l1 regularizer; every algorithm runs on g = 0.
+#: Algorithms that run on a positive l1 weight; every algorithm runs on g = 0.
 COMPOSITE_ALGOS = frozenset({"fista", "m-fista"})
 
 
@@ -237,12 +237,13 @@ def _phase_step(state, problem, s, fx=None, *, r):
 def composite_for(problem: Problem, algo: str) -> CompositeObjective:
     """``as_composite(problem)``, the composite objective ``algo`` steps on.
 
-    Every scheme runs on a smooth oracle, which gets the zero regularizer;
-    on it fista and m-fista are nag and m-nag bit for bit. An l1 regularizer
-    needs fista or m-fista: other schemes raise InvalidProblemError.
+    Every scheme runs on a smooth oracle, which gets l1 weight 0, and on a
+    composite of weight 0, which is the same problem; there fista and
+    m-fista are nag and m-nag bit for bit. A positive l1 weight needs fista
+    or m-fista: other schemes raise InvalidProblemError.
     """
     work = as_composite(problem)
-    if work.regularizer_kind != "zero" and algo not in COMPOSITE_ALGOS:
+    if work.l1_weight != 0.0 and algo not in COMPOSITE_ALGOS:
         raise InvalidProblemError(f"{algo} handles smooth objectives only; use fista/m-fista")
     return work
 

@@ -15,7 +15,3 @@ class StepSizeError(AccelCertError, ValueError):
 
 class ParameterError(AccelCertError, ValueError):
     """Algorithm or analysis parameter out of range."""
-
-
-class UnsupportedRegularizerError(AccelCertError, ValueError):
-    """Operation does not support the requested regularizer."""

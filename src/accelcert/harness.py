@@ -34,7 +34,7 @@ from .algorithms import (
     run,
 )
 from .errors import AccelCertError, ParameterError
-from .lyapunov import CERTIFIABLE_ALGOS
+from .lyapunov import CERTIFIABLE_ALGOS, ENERGY_FORMS
 from .problems import json_floats, resolve_problem
 
 
@@ -45,7 +45,6 @@ class UsageError(AccelCertError):
 DEFAULT_ITERS = 200
 DEFAULT_R = 2.0
 FORMATS = ("csv", "json")
-ENERGY_FORMS = ("auto", "velocity", "xy")
 
 
 @dataclass(frozen=True)

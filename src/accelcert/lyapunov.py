@@ -22,6 +22,9 @@ from .proximal import require_step
 #: Algorithms covered by the rate and decrease certificates.
 CERTIFIABLE_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
 
+#: Energy forms ``energy`` and ``certify`` accept; "auto" resolves per scheme.
+ENERGY_FORMS = ("auto", "velocity", "xy")
+
 #: Certification slack (relative, absolute): theorem inequalities are exact
 #: in reals, the slack only absorbs rounding accumulated over hundreds of
 #: iterations.
@@ -73,11 +76,17 @@ class EnergyBreakdown:
         return self.potential + self.mixed
 
 
-def _require_form(algo: str, form: str) -> None:
-    if form not in ("velocity", "xy"):
+def resolve_form(algo: str, form: str = "auto") -> str:
+    """The energy form ``form`` names for ``algo``: "auto" is "xy" for the
+    monotone schemes and "velocity" for the others. Raises ParameterError
+    for an unknown form and for "velocity" on a monotone scheme."""
+    if form not in ENERGY_FORMS:
         raise ParameterError(f"unknown energy form {form!r}")
+    if form == "auto":
+        return "xy" if algo in MONOTONE_ALGOS else "velocity"
     if form == "velocity" and algo in MONOTONE_ALGOS:
         raise ParameterError(f"velocity-form energy undefined for {algo}; use form='xy'")
+    return form
 
 
 def energy(
@@ -95,11 +104,12 @@ def energy(
     schemes that maintain the position-velocity relation; "xy" uses
     0.5*||k*(y_k - x_k) + r*(y_k - x*) - (k+r)*s*m_k||^2 and is the only
     form defined for the monotone schemes (their velocity is not part of
-    the analysis).
+    the analysis). "auto" picks the form as ``certify`` does (see
+    ``resolve_form``).
     """
     if optimum is None:
         raise ParameterError("energy evaluation requires an optimum")
-    _require_form(trace.params.algo, form)
+    form = resolve_form(trace.params.algo, form)
     rec = _record(trace, k)
     nxt = _record(trace, k + 1)
     x_star = optimum.x_star
@@ -235,12 +245,6 @@ class Certificate:
         )
 
 
-def resolve_form(algo: str, form: str = "auto") -> str:
-    if form == "auto":
-        return "xy" if algo in MONOTONE_ALGOS else "velocity"
-    return form
-
-
 # An energy, bound or margin that overflows becomes an inf or NaN, not a
 # warning; the finiteness rule at the end of certify fails its row.
 @np.errstate(over="ignore", invalid="ignore")
@@ -274,7 +278,6 @@ def certify(
     r = trace.params.momentum_r
     mu, lipschitz = oracle.mu, oracle.lipschitz
     form = resolve_form(algo, form)
-    _require_form(algo, form)
     rel, absolute = REFERENCE_TOLS if optimum.source == "reference-run" else ANALYTIC_TOLS
 
     big_k = threshold_K(r)

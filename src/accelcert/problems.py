@@ -47,47 +47,43 @@ class SmoothOracle:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidProblemError("dimension must be positive")
-        if not 0.0 < self.mu <= self.lipschitz:
+        if not 0.0 < self.mu <= self.lipschitz < np.inf:
             raise InvalidProblemError(
-                f"need 0 < mu <= L, got mu={self.mu}, L={self.lipschitz}"
+                f"need 0 < mu <= L < inf, got mu={self.mu}, L={self.lipschitz}"
             )
 
 
 @dataclass(frozen=True)
 class CompositeObjective:
-    """Composite objective phi = f + g with a proximable regularizer g.
+    """Composite objective phi = f + g: a smooth oracle f plus the l1
+    regularizer g = l1_weight * ||x||_1.
 
-    ``regularizer_kind`` is "zero" (g identically 0) or "l1"
-    (g = l1_weight * ||x||_1).
+    ``l1_weight`` is finite and nonnegative; a zero weight means g is
+    identically 0, and the objective is the smooth problem itself.
     """
 
     smooth: SmoothOracle
-    regularizer_kind: str
     l1_weight: float = 0.0
 
     def __post_init__(self):
-        if self.regularizer_kind not in ("zero", "l1"):
+        if not 0.0 <= self.l1_weight < np.inf:
             raise InvalidProblemError(
-                f"unknown regularizer kind {self.regularizer_kind!r}"
+                f"l1 weight must be finite and nonnegative, got {self.l1_weight}"
             )
-        if self.l1_weight < 0.0:
-            raise InvalidProblemError("l1 weight must be nonnegative")
-        if self.regularizer_kind == "zero" and self.l1_weight != 0.0:
-            raise InvalidProblemError("zero regularizer cannot carry a weight")
 
     @property
     def dim(self) -> int:
         return self.smooth.dim
 
     def g_value(self, x: Vector) -> float:
-        if self.regularizer_kind == "zero":
+        if self.l1_weight == 0.0:
             return 0.0
         return float(self.l1_weight * np.sum(np.abs(x)))
 
     def phi_value(self, x: Vector) -> float:
         # With g identically zero phi is f itself, bit for bit (f + 0.0
         # would turn a -0.0 into 0.0).
-        if self.regularizer_kind == "zero":
+        if self.l1_weight == 0.0:
             return self.smooth.value(x)
         return self.smooth.value(x) + self.g_value(x)
 
@@ -149,7 +145,7 @@ def as_composite(problem: Problem) -> CompositeObjective:
     decided: a composite passes through, a smooth oracle gets g = 0."""
     if isinstance(problem, CompositeObjective):
         return problem
-    return CompositeObjective(smooth=problem, regularizer_kind="zero")
+    return CompositeObjective(smooth=problem)
 
 
 def make_quadratic(coefficients) -> tuple[SmoothOracle, OptimumInfo]:
@@ -160,8 +156,8 @@ def make_quadratic(coefficients) -> tuple[SmoothOracle, OptimumInfo]:
     c = _as_vector(coefficients)
     if c.size == 0 or c.size > MAX_DIM:
         raise InvalidProblemError(f"need 1..{MAX_DIM} coefficients, got {c.size}")
-    if np.any(c <= 0.0):
-        raise InvalidProblemError("quadratic coefficients must all be positive")
+    if not np.all((c > 0.0) & (c < np.inf)):
+        raise InvalidProblemError("quadratic coefficients must all be positive and finite")
     c = c.copy()
     c.setflags(write=False)
 
@@ -191,7 +187,8 @@ def make_lasso(
     and L are the extreme eigenvalues of A^T A, computed exactly at desk
     scale. The optimum is solved on its sign pattern (see ``_solve_lasso``)
     within at most ``ref_iters`` proximal-gradient steps and reported as a
-    reference run.
+    reference run. At l1_weight 0 the problem is the smooth least squares,
+    which every scheme runs on.
     """
     try:
         A = np.asarray(design, dtype=float)
@@ -209,8 +206,6 @@ def make_lasso(
         lam = float(l1_weight)
     except (TypeError, ValueError) as exc:
         raise InvalidProblemError(f"l1 weight must be a number, got {l1_weight!r}") from exc
-    if not 0.0 <= lam < np.inf:
-        raise InvalidProblemError(f"l1 weight must be finite and nonnegative, got {lam}")
     if isinstance(ref_iters, float) and ref_iters.is_integer():
         ref_iters = int(ref_iters)
     if isinstance(ref_iters, bool) or not isinstance(ref_iters, numbers.Integral):
@@ -237,7 +232,7 @@ def make_lasso(
         return AtA @ np.asarray(x, dtype=float) - Atb
 
     oracle = SmoothOracle(dim=d, value=value, gradient=gradient, mu=mu, lipschitz=lipschitz)
-    problem = CompositeObjective(smooth=oracle, regularizer_kind="l1", l1_weight=lam)
+    problem = CompositeObjective(smooth=oracle, l1_weight=lam)
 
     ref_step = 0.9 / lipschitz
     x_star, iterations = _solve_lasso(AtA, Atb, lam, ref_step, int(ref_iters))
@@ -291,16 +286,18 @@ def _solve_lasso(AtA, Atb, lam: float, step: float, cap: int) -> tuple[Vector, i
     return x, done
 
 
-def oracle_eval(oracle: SmoothOracle, x) -> tuple[float, Vector]:
-    """Evaluate (f(x), grad f(x)) with dimension checking."""
+def oracle_eval(problem: Problem, x) -> tuple[float, Vector]:
+    """Evaluate (f(x), grad f(x)) of the smooth part f, with dimension checking."""
+    oracle = smooth_part(problem)
     x = _as_vector(x, oracle.dim)
     return oracle.value(x), oracle.gradient(x)
 
 
-def finite_diff_gradient(oracle: SmoothOracle, x, h: float) -> Vector:
-    """Central-difference gradient, the independent check on oracle gradients."""
+def finite_diff_gradient(problem: Problem, x, h: float) -> Vector:
+    """Central-difference gradient of f, the independent check on oracle gradients."""
     if h <= 0.0:
         raise InvalidProblemError("finite-difference step must be positive")
+    oracle = smooth_part(problem)
     x = _as_vector(x, oracle.dim)
     out = np.empty(oracle.dim)
     for i in range(oracle.dim):
@@ -319,8 +316,9 @@ def _normalized(satisfied: float, other: float) -> float:
     return (satisfied - other) / (1.0 + abs(satisfied) + abs(other))
 
 
-def strong_convexity_slack(oracle: SmoothOracle, x, y) -> float:
+def strong_convexity_slack(problem: Problem, x, y) -> float:
     """Slack of f(x) >= f(y) + <grad f(y), x - y> + (mu/2)||x - y||^2."""
+    oracle = smooth_part(problem)
     x = _as_vector(x, oracle.dim)
     y = _as_vector(y, oracle.dim)
     lhs = oracle.value(x)
@@ -333,8 +331,9 @@ def strong_convexity_slack(oracle: SmoothOracle, x, y) -> float:
     return _normalized(lhs, rhs)
 
 
-def gradient_lipschitz_slack(oracle: SmoothOracle, x, y) -> float:
+def gradient_lipschitz_slack(problem: Problem, x, y) -> float:
     """Slack of L||x - y|| >= ||grad f(x) - grad f(y)||."""
+    oracle = smooth_part(problem)
     x = _as_vector(x, oracle.dim)
     y = _as_vector(y, oracle.dim)
     lhs = oracle.lipschitz * float(np.linalg.norm(x - y))

@@ -3,8 +3,8 @@
 For step size s in (0, 1/L), the proximal value P(x) minimizes
 (1/2s)||y - (x - s*grad f(x))||^2 + g(y) over y, and the proximal
 subgradient is G(x) = (x - P(x))/s, which reduces to grad f(x) when g is
-identically zero. For the l1 regularizer P(x) has the closed soft-threshold
-form; an independent grid-search oracle is provided for testing it.
+identically zero (l1 weight 0). For a positive weight P(x) has the closed
+soft-threshold form; an independent grid-search oracle tests it.
 
 There is one proximal path: ``prox_step`` computes P(x) and G(x) from one
 gradient evaluation without checking its inputs, and the step kernel in
@@ -12,7 +12,7 @@ gradient evaluation without checking its inputs, and the step kernel in
 and ``prox_value`` and ``prox_subgradient`` read their values from it.
 
 Every public function here also takes a smooth oracle, which
-``problems.as_composite`` gives the zero regularizer.
+``problems.as_composite`` gives l1 weight 0.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, StepSizeError, UnsupportedRegularizerError
+from .errors import ParameterError, StepSizeError
 from .problems import CompositeObjective, Problem, Vector, _as_vector, _normalized, as_composite
 
 
@@ -56,14 +56,14 @@ def soft_threshold(u, theta: float) -> Vector:
 def prox_step(problem: CompositeObjective, x: Vector, s: float) -> tuple[Vector, Vector]:
     """(P(x), G(x)) from one gradient evaluation, with no input checks.
 
-    Zero regularizer: P(x) is the plain gradient step x - s*grad f(x) and
-    G(x) is grad f(x) itself; the reduction is exact, and routing through
-    the subtraction would only destroy the bit-level identity with the
-    smooth algorithms. l1: P(x) is the soft threshold of the gradient step
-    at level l1_weight*s.
+    l1_weight 0 (g identically zero): P(x) is the plain gradient step
+    x - s*grad f(x) and G(x) is grad f(x) itself; the reduction is exact,
+    and routing through the subtraction would only destroy the bit-level
+    identity with the smooth algorithms. l1_weight > 0: P(x) is the soft
+    threshold of the gradient step at level l1_weight*s.
     """
     g = problem.smooth.gradient(x)
-    if problem.regularizer_kind == "zero":
+    if problem.l1_weight == 0.0:
         return x - s * g, g
     p = soft_threshold(x - s * g, problem.l1_weight * s)
     return p, (x - p) / s
@@ -78,7 +78,7 @@ def prox_eval(problem: Problem, x, s: float) -> ProxResult:
 
 
 def prox_value(problem: Problem, x, s: float) -> Vector:
-    """Proximal value P(x) for a zero or l1 regularizer (see prox_step)."""
+    """Proximal value P(x) for an l1 weight of 0 or more (see prox_step)."""
     return prox_eval(problem, x, s).p_value
 
 
@@ -97,18 +97,15 @@ def prox_bruteforce(
 ) -> Vector:
     """Independent proximal oracle: per-coordinate grid minimization.
 
-    Minimizes (1/2s)(y - u_i)^2 + l1_weight*|y| over y for each coordinate
-    of the gradient step u = x - s*grad f(x), by evaluating the objective on
-    successively refined uniform grids (the objective is strictly convex in
-    y, so the grid argmin brackets the true minimizer within one cell).
+    Minimizes (1/2s)(y - u_i)^2 + l1_weight*|y| over y (l1_weight is 0 on a
+    smooth oracle) for each coordinate of the gradient step
+    u = x - s*grad f(x), by evaluating the objective on successively refined
+    uniform grids (the objective is strictly convex in y, so the grid argmin
+    brackets the true minimizer within one cell).
     ``radius`` defaults to 10*(1 + |u_i|); refinement stops once the cell
     width is at most ``grid_step``. Never uses the closed form.
     """
     problem = as_composite(problem)
-    if problem.regularizer_kind not in ("zero", "l1"):
-        raise UnsupportedRegularizerError(
-            f"grid oracle needs a separable regularizer, got {problem.regularizer_kind!r}"
-        )
     if grid_step <= 0.0:
         raise ParameterError("grid step must be positive")
     if npts < 5:
@@ -116,7 +113,6 @@ def prox_bruteforce(
     require_step(s, problem.smooth.lipschitz)
     x = _as_vector(x, problem.dim)
     u = x - s * problem.smooth.gradient(x)
-    lam = problem.l1_weight if problem.regularizer_kind == "l1" else 0.0
 
     out = np.empty_like(u)
     for i, ui in enumerate(u):
@@ -124,7 +120,7 @@ def prox_bruteforce(
         lo, hi = ui - rad, ui + rad
         while True:
             grid = np.linspace(lo, hi, npts)
-            vals = (grid - ui) ** 2 / (2.0 * s) + lam * np.abs(grid)
+            vals = (grid - ui) ** 2 / (2.0 * s) + problem.l1_weight * np.abs(grid)
             best = grid[int(np.argmin(vals))]
             cell = (hi - lo) / (npts - 1)
             if cell <= grid_step:

@@ -382,6 +382,27 @@ def test_composite_collapse_over_full_trace(quad2d):
             assert getattr(ta.columns, name).tobytes() == getattr(tb.columns, name).tobytes()
 
 
+def test_zero_weight_lasso_is_the_smooth_problem():
+    # At lambda = 0, g is identically 0: nag and m-nag run, step and certify
+    # on the lasso, and fista and m-fista there are nag and m-nag on its
+    # smooth part in every column, bit for bit.
+    problem, optimum = ac.make_lasso(np.diag([1.0, 2.0]), [1.0, 1.0], 0.0)
+    for composite_algo, smooth_algo in (("fista", "nag"), ("m-fista", "m-nag")):
+        params = ac.RunParams(algo=smooth_algo, step=0.2, iters=50, momentum_r=2.0)
+        smooth = ac.run(problem.smooth, params, [3.0, -2.0])
+        for trace in (
+            ac.run(problem, params, [3.0, -2.0]),
+            ac.run(problem, dataclasses.replace(params, algo=composite_algo), [3.0, -2.0]),
+        ):
+            for name in trace.columns.__dataclass_fields__:
+                assert getattr(trace.columns, name).tobytes() == getattr(
+                    smooth.columns, name
+                ).tobytes()
+        first = ac.step(smooth_algo, initial_state([3.0, -2.0]), problem, 0.2, 2.0)
+        assert np.array_equal(first.x, smooth.columns.x[1])
+        assert ac.certify(ac.run(problem, params, [3.0, -2.0]), problem, optimum).overall_pass
+
+
 def test_fast_methods_converge_on_quad2d(quad2d):
     oracle, optimum = quad2d
     for algo in ("nag", "m-nag"):

@@ -661,6 +661,36 @@ def test_lasso_design_that_overflows_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("error: ") and "overflows" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "problem,lasso",
+    [
+        ("quad-diag:inf,1", None),
+        ("quad-diag:1e308,1e308", None),
+        ("lasso", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0], "lambda": float("nan")}),
+        ("lasso", {"A": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 1.0], "lambda": float("inf")}),
+    ],
+)
+def test_non_finite_problem_constants_are_one_line_errors(tmp_path, capsys, problem, lasso):
+    if lasso is not None:
+        (tmp_path / "lasso.json").write_text(json.dumps(lasso))
+        problem = f"lasso:{tmp_path / 'lasso.json'}"
+    rc = harness.main(["run", "--problem", problem, "--algo", "fista", "--step", "0.1",
+                       "--r", "2", "--trace-out", str(tmp_path / "t.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "outside" not in err
+
+
+def test_zero_weight_lasso_file_runs_nag(tmp_path):
+    lasso = tmp_path / "lasso.json"
+    lasso.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0], "lambda": 0}))
+    assert harness.main(["run", "--problem", f"lasso:{lasso}", "--algo", "nag", "--step",
+                         "0.2", "--r", "2", "--iters", "20", "--certify",
+                         "--trace-out", str(tmp_path / "t.csv"),
+                         "--certificate-out", str(tmp_path / "c.json")]) == 0
+
+
 def test_library_certifies_a_cli_fista_trace_on_the_smooth_oracle(tmp_path, quad2d):
     # The CLI runs fista on quad2d; the library takes the same smooth oracle.
     tr, out = tmp_path / "t.json", tmp_path / "c.json"

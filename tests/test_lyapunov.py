@@ -120,6 +120,14 @@ def test_energy_nearly_nonnegative_with_reference_optimum(lasso5):
         assert ac.energy(trace, k, s, R, optimum, "velocity").total >= -1e-9
 
 
+def test_energy_auto_form_is_the_resolved_form(nag_trace, mnag_trace, quad2d):
+    for trace in (nag_trace, mnag_trace):
+        form = ly.resolve_form(trace.params.algo)
+        for k in range(len(trace.records) - 1):
+            auto = ac.energy(trace, k, S, R, quad2d[1], "auto")
+            assert auto == ac.energy(trace, k, S, R, quad2d[1], form)
+
+
 def test_energy_velocity_form_rejected_for_monotone(mnag_trace, quad2d):
     with pytest.raises(ParameterError):
         ac.energy(mnag_trace, 0, S, R, quad2d[1], "velocity")

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -38,10 +39,26 @@ def test_quadratic_direct_evaluation():
     assert grad == pytest.approx([4.0, -6.0], rel=1e-15)
 
 
-@pytest.mark.parametrize("coeffs", [[1.0, -1.0], [0.0], []])
+@pytest.mark.parametrize(
+    "coeffs",
+    [[1.0, -1.0], [0.0], [], [np.inf, 1.0], [np.nan, 1.0], [1e308, 1e308]],
+)
 def test_quadratic_rejects_bad_coefficients(coeffs):
+    # 1e308 is finite, but mu = L = 2e308 is not.
     with pytest.raises(InvalidProblemError):
         ac.make_quadratic(coeffs)
+
+
+@pytest.mark.parametrize("mu,lipschitz", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0)])
+def test_smooth_oracle_rejects_non_finite_constants(quad2d, mu, lipschitz):
+    with pytest.raises(InvalidProblemError):
+        dataclasses.replace(quad2d[0], mu=mu, lipschitz=lipschitz)
+
+
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+def test_composite_rejects_bad_weights(quad2d, weight):
+    with pytest.raises(InvalidProblemError):
+        ac.CompositeObjective(quad2d[0], weight)
 
 
 def test_oracle_eval_dimension_mismatch(quad2d):
@@ -168,6 +185,22 @@ def test_composite_zero_regularizer_matches_smooth(quad2d):
     x = np.array([0.3, -2.0])
     assert composite.phi_value(x) == oracle.value(x)
     assert composite.g_value(x) == 0.0
+
+
+def test_oracle_level_checks_read_the_smooth_part(lasso5):
+    def bits(out):
+        return np.hstack(out if isinstance(out, tuple) else (out,)).tobytes()
+
+    problem, _ = lasso5
+    rng = np.random.default_rng(12)
+    x, y = rng.normal(size=5), rng.normal(size=5)
+    for check, args in (
+        (ac.oracle_eval, (x,)),
+        (ac.finite_diff_gradient, (x, 1e-6)),
+        (strong_convexity_slack, (x, y)),
+        (gradient_lipschitz_slack, (x, y)),
+    ):
+        assert bits(check(problem, *args)) == bits(check(problem.smooth, *args))
 
 
 def test_composite_l1_value(identity_lasso):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import accelcert as ac
-from accelcert.errors import ParameterError, StepSizeError, UnsupportedRegularizerError
-from accelcert.problems import CompositeObjective
+from accelcert.errors import ParameterError, StepSizeError
 from accelcert.proximal import composite_fundamental_slack, composite_key_slack
 
 
@@ -132,16 +131,6 @@ def test_bruteforce_rejects_bad_grid():
     problem = one_d_lasso(1.0, 1.0)
     with pytest.raises(ParameterError):
         ac.prox_bruteforce(problem, [1.0], 0.5, grid_step=0.0)
-
-
-def test_bruteforce_rejects_unknown_regularizer():
-    problem = one_d_lasso(1.0, 1.0)
-    broken = object.__new__(CompositeObjective)
-    object.__setattr__(broken, "smooth", problem.smooth)
-    object.__setattr__(broken, "regularizer_kind", "group")
-    object.__setattr__(broken, "l1_weight", 0.0)
-    with pytest.raises(UnsupportedRegularizerError):
-        ac.prox_bruteforce(broken, [1.0], 0.5)
 
 
 def test_composite_inequalities_hold_on_random_samples(identity_lasso):

@@ -38,7 +38,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import InvalidProblemError, ParameterError
-from .problems import CompositeObjective, Problem, Vector, _as_vector, as_composite
+from .problems import CompositeObjective, Problem, Vector, _as_vector, _is_a, as_composite
 from .proximal import prox_step, require_step
 
 ALGORITHMS = (
@@ -68,11 +68,6 @@ class AlgoState:
     y: Vector
     v: Vector
     z: Vector | None = None
-
-
-def _is_a(value, kind) -> bool:
-    # bool is an Integral, but True is not an iteration count or a step.
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _is_finite(value) -> bool:
@@ -128,11 +123,11 @@ class TraceRecord:
 class TraceColumns:
     """A trace's arrays, the one stored form of it; row k holds record k.
 
-    ``x``, ``y``, ``v``, ``map`` (the first-order map at y_k) and ``z`` have
-    shape (n+1, d); ``f`` (f or phi at x_k) and ``has_z`` have shape (n+1,).
-    ``has_z[k]`` marks the records that carry a candidate z_k; no reader
-    uses the other rows of ``z``, which ``run`` and ``load_trace`` fill
-    with NaN. The constructor makes every array read-only.
+    ``x``, ``y``, ``v`` and ``map`` (the first-order map at y_k) have shape
+    (n+1, d) and ``f`` (f or phi at x_k) has shape (n+1,). ``z`` holds the
+    candidates z_0..z_{n-1} of a monotone scheme, shape (n, d); the other
+    schemes make none, and their ``z`` has shape (0, d). The constructor
+    makes every array read-only.
     """
 
     x: np.ndarray
@@ -141,7 +136,6 @@ class TraceColumns:
     map: np.ndarray
     f: np.ndarray
     z: np.ndarray
-    has_z: np.ndarray
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -164,9 +158,9 @@ class Trace:
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """One TraceRecord per row, built on first use; its vectors are row
-        views of the columns, and z is None where ``has_z`` is false."""
+        views of the columns, and z is None on the records past ``len(z)``."""
         cols = self.columns
-        zs = [zk if has else None for zk, has in zip(cols.z, cols.has_z.tolist())]
+        zs = [*cols.z] + [None] * (len(cols.f) - len(cols.z))
         return tuple(
             map(TraceRecord, range(len(cols.f)), cols.x, cols.y, cols.v, cols.f.tolist(),
                 cols.map, zs)
@@ -297,15 +291,14 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
     n = params.iters
     x, y, v, m = (np.empty((n + 1, work.dim)) for _ in range(4))
-    z = np.full((n + 1, work.dim), np.nan)
+    z = np.empty((n if params.algo in MONOTONE_ALGOS else 0, work.dim))
     f = np.empty(n + 1)
-    has_z = np.zeros(n + 1, dtype=bool)
     for k in range(n):
         x[k], y[k], v[k], f[k] = state.x, state.y, state.v, fx
         state, m[k], fx = transition(state, work, s, fx)
         if state.z is not None:
-            z[k], has_z[k] = state.z, True
+            z[k] = state.z
     x[n], y[n], v[n], f[n] = state.x, state.y, state.v, fx
     m[n] = prox_step(work, state.y, s)[1]
-    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z, has_z=has_z)
+    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z)
     return Trace(params=params, problem_id=problem_id, columns=columns)

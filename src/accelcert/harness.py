@@ -35,7 +35,7 @@ from .algorithms import (
 )
 from .errors import AccelCertError, ParameterError
 from .lyapunov import CERTIFIABLE_ALGOS, ENERGY_FORMS
-from .problems import json_floats, resolve_problem
+from .problems import json_floats, read_json, resolve_problem
 
 
 class UsageError(AccelCertError):
@@ -90,13 +90,7 @@ def parse_config(source) -> ExperimentConfig:
 
 
 def _read_config(path) -> dict:
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad JSON in config {path!r}: {exc}") from exc
+    payload = read_json(path, "config", UsageError)
     if not isinstance(payload, dict):
         raise UsageError(f"config must be a JSON object, got {type(payload).__name__}")
     return payload
@@ -297,13 +291,13 @@ def _json_head(payload: dict, rows_key: str) -> str:
     return json.dumps(payload, check_circular=False)[:-1] + f", {json.dumps(rows_key)}: ["
 
 
-def _write_rows(fh, head: str, templates, tokens: np.ndarray) -> None:
-    """Write ``head``, row i of ``tokens`` filled into ``templates[i]`` with
+def _write_rows(fh, head: str, template: str, tokens: np.ndarray) -> None:
+    """Write ``head``, each row of ``tokens`` filled into ``template`` with
     rows joined by ", ", and the closing "]}" and newline."""
     fh.write(head)
     for start in range(0, len(tokens), RENDER_CHUNK):
-        chunk = slice(start, start + RENDER_CHUNK)
-        text = ", ".join(templates[chunk]) % tuple(tokens[chunk].ravel().tolist())
+        rows = tokens[start:start + RENDER_CHUNK]
+        text = ", ".join([template] * len(rows)) % tuple(rows.ravel().tolist())
         fh.write(", " + text if start else text)
     fh.write("]}\n")
 
@@ -322,27 +316,26 @@ def _write_certificate(fh, certificate, tokens=None) -> None:
     head = _json_head(
         {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
     )
-    _write_rows(fh, head, [_CERT_ROW] * len(matrix), matrix)
+    _write_rows(fh, head, _CERT_ROW, matrix)
 
 
-def _record_templates(d: int) -> np.ndarray:
-    """The % templates of a JSON trace record without and with z. Without
-    z, the z slots take "%.0s", which consumes an (empty) token and prints
-    nothing, so every record has the same number of tokens."""
+def _record_template(d: int) -> str:
+    """The % template of a JSON trace record; z is one token, a vector or null."""
     vec = "[" + ", ".join(["%s"] * d) + "]"
-    record = (
-        '{"k": %s, "x": VEC, "y": VEC, "v": VEC, "z": Z, "f": %s, "map": VEC, '
+    return (
+        '{"k": %s, "x": VEC, "y": VEC, "v": VEC, "z": %s, "f": %s, "map": VEC, '
         '"f_gap": %s, "grad_norm": %s, "monotone_violation": %s, "energy": %s, "bound": %s}'
     ).replace("VEC", vec)
-    return np.array(
-        [record.replace("Z", "null" + "%.0s" * d), record.replace("Z", vec)], dtype=object
-    )
 
 
 def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate_path) -> None:
+    """Write the trace as json.dumps writes its per-record dicts, with the
+    certificate to ``certificate_path`` from the same token table. Each
+    record's z is one token: the vector z_k on the records ``columns.z``
+    holds, null on the rest."""
     cols = trace.columns
     n_records, d = cols.x.shape
-    floats = [cols.x, cols.y, cols.v, cols.z[cols.has_z], cols.f, cols.map,
+    floats = [cols.x, cols.y, cols.v, cols.z, cols.f, cols.map,
               cols.f - optimum.f_star, _grad_norm(cols)]
     energy = bound = np.full(n_records, "null", dtype=object)
     if certificate is not None:
@@ -356,11 +349,13 @@ def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate
             with open(certificate_path, "w") as fh:
                 _write_certificate(fh, certificate, cert_tokens)
 
-    z_slots = np.full((n_records, d), "", dtype=object)
-    z_slots[cols.has_z] = z
+    z_text = np.array(
+        ["[" + ", ".join(row) + "]" for row in z.tolist()] + ["null"] * (n_records - len(z)),
+        dtype=object,
+    )
     matrix = np.column_stack([
         np.array(list(map(str, range(n_records))), dtype=object),
-        x, y, v, z_slots, f, m, f_gap, grad_norm, _FLAGS[_violations(cols.f)], energy, bound,
+        x, y, v, z_text, f, m, f_gap, grad_norm, _FLAGS[_violations(cols.f)], energy, bound,
     ])
     params = trace.params
     head = _json_head(
@@ -377,7 +372,7 @@ def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate
         "records",
     )
     with open(path, "w") as fh:
-        _write_rows(fh, head, _record_templates(d)[cols.has_z.astype(int)], matrix)
+        _write_rows(fh, head, _record_template(d), matrix)
 
 
 def emit_trace(
@@ -451,16 +446,11 @@ def load_trace(path: str) -> Trace:
 
     Every record must carry k equal to its index, finite vectors of one
     dimension and a finite f, and there must be params.iters + 1 records.
-    problem_id must be a string, and only the records of a monotone scheme
-    may carry a z.
+    problem_id must be a string. A z sits exactly where the scheme makes
+    one: a monotone trace has a z on every record but the last, and any
+    other trace has none.
     """
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read trace {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path!r} is not a JSON trace (CSV traces cannot be re-ingested)") from exc
+    payload = read_json(path, "JSON trace", UsageError)
     if not isinstance(payload, dict) or payload.get("kind") != "accelcert-trace":
         raise UsageError(f"{path!r} is not an accelcert trace file")
     try:
@@ -471,35 +461,35 @@ def load_trace(path: str) -> Trace:
         records = payload["records"]
         problem_id = payload["problem_id"]
         ks = [rec["k"] for rec in records]
-        with_z = [i for i, rec in enumerate(records) if rec["z"] is not None]
+        zs = [rec["z"] for rec in records]
     except KeyError as exc:
         raise UsageError(f"trace {path!r} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed trace {path!r}: {exc}") from exc
     if not isinstance(problem_id, str):
         raise UsageError(f"trace {path!r}: problem_id must be a string, got {problem_id!r}")
-    if with_z and params.algo not in MONOTONE_ALGOS:
-        raise UsageError(
-            f"trace {path!r}: record {with_z[0]} has a z, which {params.algo} does not produce"
-        )
     if len(records) != params.iters + 1:
         raise UsageError(
             f"trace {path!r} has {len(records)} records, params.iters + 1 = {params.iters + 1}"
+        )
+    monotone = params.algo in MONOTONE_ALGOS
+    bad_z = next((i for i, z in enumerate(zs) if (z is None) == (monotone and i < params.iters)),
+                 None)
+    if bad_z is not None:
+        rule = "a z on every record but the last" if monotone else "no z"
+        raise UsageError(
+            f"trace {path!r}: record {bad_z} has {'no' if zs[bad_z] is None else 'a'} z, "
+            f"but {params.algo} makes {rule}"
         )
     bad_k = next((i for i, k in enumerate(ks) if type(k) is not int or k != i), None)
     if bad_k is not None:
         raise UsageError(f"trace {path!r}: record {bad_k} has k = {ks[bad_k]!r}")
     x, y, v, m = (_trace_column(records, key, path) for key in ("x", "y", "v", "map"))
     f = _trace_column(records, "f", path, ndim=1)
-    d = x.shape[1]
-    z = _trace_column([records[i] for i in with_z], "z", path) if with_z else np.empty((0, d))
-    if any(col.shape != x.shape for col in (y, v, m)) or z.shape != (len(with_z), d):
+    z = _trace_column(records[:-1], "z", path) if monotone else np.empty((0, x.shape[1]))
+    if any(col.shape != x.shape for col in (y, v, m)) or z.shape[1:] != x.shape[1:]:
         raise UsageError(f"trace {path!r}: records need vectors of one dimension")
-    has_z = np.zeros(len(records), dtype=bool)
-    has_z[with_z] = True
-    z_col = np.full(x.shape, np.nan)
-    z_col[has_z] = z
-    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z_col, has_z=has_z)
+    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z)
     return Trace(params=params, problem_id=problem_id, columns=columns)
 
 

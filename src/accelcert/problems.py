@@ -30,6 +30,11 @@ REFERENCE_ITERS = 1_000_000
 WARM_START_ITERS = 32
 
 
+def _is_a(value, kind) -> bool:
+    # bool is an Integral, but True is not a count, a step or a weight.
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SmoothOracle:
     """A strongly convex differentiable objective.
@@ -45,11 +50,12 @@ class SmoothOracle:
     lipschitz: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidProblemError("dimension must be positive")
-        if not 0.0 < self.mu <= self.lipschitz < np.inf:
+        if not (_is_a(self.dim, numbers.Integral) and self.dim >= 1):
+            raise InvalidProblemError(f"dimension must be a positive integer, got {self.dim!r}")
+        if not (_is_a(self.mu, numbers.Real) and _is_a(self.lipschitz, numbers.Real)
+                and 0.0 < self.mu <= self.lipschitz < np.inf):
             raise InvalidProblemError(
-                f"need 0 < mu <= L < inf, got mu={self.mu}, L={self.lipschitz}"
+                f"need real numbers 0 < mu <= L < inf, got mu={self.mu!r}, L={self.lipschitz!r}"
             )
 
 
@@ -66,9 +72,9 @@ class CompositeObjective:
     l1_weight: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.l1_weight < np.inf:
+        if not (_is_a(self.l1_weight, numbers.Real) and 0.0 <= self.l1_weight < np.inf):
             raise InvalidProblemError(
-                f"l1 weight must be finite and nonnegative, got {self.l1_weight}"
+                f"l1 weight must be a finite nonnegative number, got {self.l1_weight!r}"
             )
 
     @property
@@ -134,6 +140,16 @@ def json_floats(value, ndim: int) -> np.ndarray:
         return entries.astype(float)
     except OverflowError as exc:
         raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
+
+
+def read_json(path, what: str, error: type[Exception]):
+    """The JSON value in the UTF-8 file at ``path``. A file that cannot be
+    opened, decoded or parsed raises ``error`` with a one-line message."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def smooth_part(problem: Problem) -> SmoothOracle:
@@ -361,13 +377,7 @@ def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
         return make_quadratic(coeffs)
     if name.startswith("lasso:"):
         path = name[len("lasso:"):]
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except OSError as exc:
-            raise InvalidProblemError(f"cannot read lasso file {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidProblemError(f"bad JSON in lasso file {path!r}: {exc}") from exc
+        payload = read_json(path, "lasso file", InvalidProblemError)
         try:
             design = json_floats(payload["A"], 2)
             target = json_floats(payload["b"], 1)

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -152,13 +151,10 @@ def test_reingested_trace_recertifies_identically(tmp_path, quad2d):
 
 
 def test_reloaded_trace_rewrites_identical_bytes(tmp_path, quad2d):
-    # Clearing has_z on every third record pins the mask across a reload.
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=60, momentum_r=2.0)
     trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
-    has_z = trace.columns.has_z.copy()
-    has_z[::3] = False
-    trace = dataclasses.replace(trace, columns=dataclasses.replace(trace.columns, has_z=has_z))
+    z = trace.columns.z
     texts = []
     for i in range(2):
         tr, cert = tmp_path / f"t{i}.json", tmp_path / f"c{i}.json"
@@ -166,9 +162,10 @@ def test_reloaded_trace_rewrites_identical_bytes(tmp_path, quad2d):
                    certificate=ac.certify(trace, oracle, optimum), certificate_path=str(cert))
         texts.append((tr.read_bytes(), cert.read_bytes()))
         trace = load_trace(str(tr))
-    assert b'"z": null' in texts[0][0] and b'"z": [' in texts[0][0]
+    assert texts[0][0].count(b'"z": null') == 1 and b'"z": [' in texts[0][0]
     assert texts[1] == texts[0]
-    assert np.array_equal(trace.columns.has_z, has_z)
+    assert trace.columns.z.shape == (params.iters, 2)
+    assert trace.columns.z.tobytes() == z.tobytes()
 
 
 def test_load_trace_rejects_csv(tmp_path, quad2d):
@@ -463,6 +460,35 @@ def test_certify_rejects_malformed_trace(tmp_path, capsys, mutate):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _z_dropped(payload):
+    payload["records"][5]["z"] = None
+
+
+def _z_on_last_record(payload):
+    payload["records"][-1]["z"] = [0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "algo,mutate",
+    [("m-nag", _z_dropped), ("m-nag", _z_on_last_record), ("nag", _z_on_nag), ("m-nag", _nan_z)],
+)
+def test_certify_checks_z_against_the_scheme(tmp_path, capsys, algo, mutate):
+    # A monotone trace has a finite z on every record but the last; others have none.
+    tr = tmp_path / "t.json"
+    assert harness.main(["run", "--problem", "quad2d", "--algo", algo, "--step", "0.4",
+                         "--r", "2", "--iters", "30", "--format", "json",
+                         "--trace-out", str(tr)]) == 0
+    payload = json.loads(tr.read_text())
+    mutate(payload)
+    tr.write_text(json.dumps(payload))
+    capsys.readouterr()
+    rc = harness.main(["certify", "--trace", str(tr), "--problem", "quad2d",
+                       "--out", str(tmp_path / "c.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "z" in err
 
 
 def test_certify_rejects_problem_of_other_dimension(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""Every module-level import is used.
+"""Every module-level import and private name is used.
 
 A name imported at the top of a module in ``src/accelcert`` (except the
 re-exporting ``__init__.py``) or ``tests`` must be referenced by name
-somewhere in that module, so code a change deletes leaves no import behind.
+somewhere in that module, and a module-level private name (``_name``,
+defined by a def, class or assignment) in ``src/accelcert`` must be
+referenced somewhere in the package, so code a change deletes leaves no
+import or helper behind.
 """
 
 import ast
@@ -40,3 +43,46 @@ def test_no_unused_module_level_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert unused == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each module-level private def, class or
+    assignment in ``sources`` (module -> source) that no module references."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            dead += [(module, node.lineno, name) for name in names
+                     if name.startswith("_") and not name.startswith("__") and name not in used]
+    return dead
+
+
+def test_checker_flags_a_dead_private_name():
+    sources = {
+        "a": "_LIVE = 1\n_DEAD = 2\n\ndef _helper():\n    return _LIVE\n",
+        "b": "from a import _helper\n\nclass _Orphan:\n    pass\n",
+    }
+    assert dead_private_names(sources) == [("a", 2, "_DEAD"), ("b", 3, "_Orphan")]
+
+
+def test_no_dead_private_names_in_the_package():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) > 5
+    assert dead_private_names(sources) == []

@@ -55,7 +55,17 @@ def test_smooth_oracle_rejects_non_finite_constants(quad2d, mu, lipschitz):
         dataclasses.replace(quad2d[0], mu=mu, lipschitz=lipschitz)
 
 
-@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "field,value",
+    [("dim", "2"), ("dim", 2.5), ("dim", True), ("mu", "1"), ("mu", None), ("mu", True),
+     ("lipschitz", "2"), ("lipschitz", False)],
+)
+def test_smooth_oracle_rejects_non_numeric_fields(quad2d, field, value):
+    with pytest.raises(InvalidProblemError):
+        dataclasses.replace(quad2d[0], **{field: value})
+
+
+@pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf, "0.4", None, True])
 def test_composite_rejects_bad_weights(quad2d, weight):
     with pytest.raises(InvalidProblemError):
         ac.CompositeObjective(quad2d[0], weight)

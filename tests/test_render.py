@@ -124,19 +124,17 @@ def test_render_keeps_negative_zero_apart(tmp_path, quad2d):
 
 def _with_non_finite(trace):
     cols = trace.columns
-    f, x, m, z, has_z = (col.copy() for col in (cols.f, cols.x, cols.map, cols.z, cols.has_z))
+    f, x, m, z = (col.copy() for col in (cols.f, cols.x, cols.map, cols.z))
     f[1] = float("inf")
     x[2] = [float("nan"), 1.0]
     m[3] = [float("-inf"), 0.0]
-    z[4], has_z[4] = [-0.0, float("-nan")], True
-    return dataclasses.replace(
-        trace, columns=dataclasses.replace(cols, f=f, x=x, map=m, z=z, has_z=has_z)
-    )
+    z[4] = [-0.0, float("-nan")]
+    return dataclasses.replace(trace, columns=dataclasses.replace(cols, f=f, x=x, map=m, z=z))
 
 
 def test_render_spells_non_finite_values_as_json_dumps(tmp_path, quad2d):
     oracle, optimum = quad2d
-    params = ac.RunParams(algo="nag", step=0.4, iters=12, momentum_r=2.0)
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=12, momentum_r=2.0)
     trace = _with_non_finite(ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d"))
     certificate = ac.certify(trace, oracle, optimum)
     text, cert_text = _write(tmp_path, trace, optimum, certificate)
@@ -147,16 +145,14 @@ def test_render_spells_non_finite_values_as_json_dumps(tmp_path, quad2d):
 
 
 def test_render_mixes_z_rows_and_nulls(tmp_path, quad2d):
+    # A monotone trace's z is a vector on every record but the last, which is null.
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=9, momentum_r=2.0)
     trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
-    has_z = trace.columns.has_z.copy()
-    has_z[::3] = False
-    trace = dataclasses.replace(
-        trace, columns=dataclasses.replace(trace.columns, has_z=has_z)
-    )
     text, _ = _write(tmp_path, trace, optimum)
-    assert '"z": null' in text and '"z": [' in text
+    records = json.loads(text)["records"]
+    assert [rec["z"] is None for rec in records] == [False] * params.iters + [True]
+    assert text.count('"z": [') == params.iters
     _assert_same_as_reference(tmp_path, trace, optimum)
 
 

@@ -120,16 +120,20 @@ class TraceRecord:
 
 
 @dataclass(frozen=True)
-class TraceColumns:
-    """A trace's arrays, the one stored form of it; row k holds record k.
+class Trace:
+    """One run as whole-trajectory arrays, the one stored form of it; row k
+    holds record k.
 
-    ``x``, ``y``, ``v`` and ``map`` (the first-order map at y_k) have shape
+    ``x``, ``y``, ``v`` and ``map`` (the first-order map, a gradient or
+    proximal subgradient, evaluated at y_k during stepping) have shape
     (n+1, d) and ``f`` (f or phi at x_k) has shape (n+1,). ``z`` holds the
     candidates z_0..z_{n-1} of a monotone scheme, shape (n, d); the other
     schemes make none, and their ``z`` has shape (0, d). The constructor
-    makes every array read-only.
+    makes the six arrays read-only.
     """
 
+    params: RunParams
+    problem_id: str
     x: np.ndarray
     y: np.ndarray
     v: np.ndarray
@@ -138,36 +142,25 @@ class TraceColumns:
     z: np.ndarray
 
     def __post_init__(self):
-        for name in self.__dataclass_fields__:
+        for name in ("x", "y", "v", "map", "f", "z"):
             getattr(self, name).setflags(write=False)
-
-
-@dataclass(frozen=True)
-class Trace:
-    """One run as whole-trajectory columns, including the first-order map
-    (gradient or proximal subgradient) evaluated at y_k during stepping."""
-
-    params: RunParams
-    problem_id: str
-    columns: TraceColumns
 
     @property
     def iters(self) -> int:
-        return len(self.columns.f) - 1
+        return len(self.f) - 1
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """One TraceRecord per row, built on first use; its vectors are row
-        views of the columns, and z is None on the records past ``len(z)``."""
-        cols = self.columns
-        zs = [*cols.z] + [None] * (len(cols.f) - len(cols.z))
+        views of the arrays, and z is None on the records past ``len(z)``."""
+        zs = [*self.z] + [None] * (len(self.f) - len(self.z))
         return tuple(
-            map(TraceRecord, range(len(cols.f)), cols.x, cols.y, cols.v, cols.f.tolist(),
-                cols.map, zs)
+            map(TraceRecord, range(len(self.f)), self.x, self.y, self.v, self.f.tolist(),
+                self.map, zs)
         )
 
     def f_values(self) -> np.ndarray:
-        return self.columns.f.copy()
+        return self.f.copy()
 
 
 def initial_state(x0) -> AlgoState:
@@ -300,5 +293,4 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
             z[k] = state.z
     x[n], y[n], v[n], f[n] = state.x, state.y, state.v, fx
     m[n] = prox_step(work, state.y, s)[1]
-    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z)
-    return Trace(params=params, problem_id=problem_id, columns=columns)
+    return Trace(params=params, problem_id=problem_id, x=x, y=y, v=v, map=m, f=f, z=z)

@@ -30,7 +30,6 @@ from .algorithms import (
     MONOTONE_ALGOS,
     RunParams,
     Trace,
-    TraceColumns,
     run,
 )
 from .errors import AccelCertError, ParameterError
@@ -224,14 +223,14 @@ def _violations(f: np.ndarray) -> list[int]:
 
 
 @np.errstate(over="ignore")  # a norm that overflows is written as inf
-def _grad_norm(cols) -> np.ndarray:
+def _grad_norm(trace: Trace) -> np.ndarray:
     # np.linalg.norm of a vector is sqrt(m . m); one np.dot per row keeps
     # its rounding, which a reduction over axis 1 does not.
-    return np.sqrt(list(map(np.dot, cols.map, cols.map)))
+    return np.sqrt(list(map(np.dot, trace.map, trace.map)))
 
 
-def _fmt(value) -> str:
-    return "" if value is None else format(value, ".17g")
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
 
 
 # JSON writes. The trace and certificate of one call are rendered from one
@@ -276,16 +275,6 @@ def _certificate_floats(certificate) -> list[np.ndarray]:
             certificate.decrease_margin]
 
 
-def _certificate_token_columns(tokens) -> list[np.ndarray]:
-    """The gap, bound, energy and decrease_margin tokens over all n+1 rows,
-    with "null" where a row has no value: the bound at k = 0, the energy at
-    k = n and the margin at k = n-1, n."""
-    gap, bound, energy, margin = tokens
-    null = np.array(["null"], dtype=object)
-    return [gap, np.concatenate([null, bound]), np.concatenate([energy, null]),
-            np.concatenate([margin, null, null])]
-
-
 def _json_head(payload: dict, rows_key: str) -> str:
     """json.dumps(payload) opened for a trailing list under ``rows_key``."""
     return json.dumps(payload, check_circular=False)[:-1] + f", {json.dumps(rows_key)}: ["
@@ -312,7 +301,7 @@ def _write_certificate(fh, certificate, tokens=None) -> None:
     if tokens is None:
         tokens = _float_tokens(*_certificate_floats(certificate))
     ks = np.array(list(map(str, range(len(certificate.f_gap)))), dtype=object)
-    matrix = np.column_stack([ks, *_certificate_token_columns(tokens)])
+    matrix = np.column_stack([ks, *lyapunov.row_layout(*tokens, "null")])
     head = _json_head(
         {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
     )
@@ -331,12 +320,11 @@ def _record_template(d: int) -> str:
 def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate_path) -> None:
     """Write the trace as json.dumps writes its per-record dicts, with the
     certificate to ``certificate_path`` from the same token table. Each
-    record's z is one token: the vector z_k on the records ``columns.z``
+    record's z is one token: the vector z_k on the records ``trace.z``
     holds, null on the rest."""
-    cols = trace.columns
-    n_records, d = cols.x.shape
-    floats = [cols.x, cols.y, cols.v, cols.z, cols.f, cols.map,
-              cols.f - optimum.f_star, _grad_norm(cols)]
+    n_records, d = trace.x.shape
+    floats = [trace.x, trace.y, trace.v, trace.z, trace.f, trace.map,
+              trace.f - optimum.f_star, _grad_norm(trace)]
     energy = bound = np.full(n_records, "null", dtype=object)
     if certificate is not None:
         floats += _certificate_floats(certificate)
@@ -344,7 +332,7 @@ def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate
     x, y, v, z, f, m, f_gap, grad_norm = tokens[:8]
     if certificate is not None:
         cert_tokens = tokens[8:]
-        _, bound, energy, _ = _certificate_token_columns(cert_tokens)
+        _, bound, energy, _ = lyapunov.row_layout(*cert_tokens, "null")
         if certificate_path is not None:
             with open(certificate_path, "w") as fh:
                 _write_certificate(fh, certificate, cert_tokens)
@@ -355,7 +343,7 @@ def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate
     )
     matrix = np.column_stack([
         np.array(list(map(str, range(n_records))), dtype=object),
-        x, y, v, z_text, f, m, f_gap, grad_norm, _FLAGS[_violations(cols.f)], energy, bound,
+        x, y, v, z_text, f, m, f_gap, grad_norm, _FLAGS[_violations(trace.f)], energy, bound,
     ])
     params = trace.params
     head = _json_head(
@@ -391,7 +379,7 @@ def emit_trace(
         raise UsageError(f"unknown format {fmt!r}")
     if certificate_path is not None and certificate is None:
         raise UsageError("a certificate path needs a certificate")
-    if certificate is not None and len(certificate.f_gap) != len(trace.columns.f):
+    if certificate is not None and len(certificate.f_gap) != len(trace.f):
         raise UsageError("the certificate's rows do not match the trace's records")
     if fmt == "json":
         _write_json_trace(trace, path, optimum, certificate, certificate_path)
@@ -399,13 +387,14 @@ def emit_trace(
     if certificate_path is not None:
         with open(certificate_path, "w") as fh:
             _write_certificate(fh, certificate)
-    cols = trace.columns
-    d = cols.x.shape[1]
-    # A certificate has no energy at k = n and no bound at k = 0.
-    energies = bounds = [None] * len(cols.f)
+    d = trace.x.shape[1]
+    energies = bounds = [""] * len(trace.f)
     if certificate is not None:
-        energies = certificate.energy.tolist() + [None]
-        bounds = [None] + certificate.bound.tolist()
+        bound, energy = ([_fmt(v) for v in col.tolist()]
+                         for col in (certificate.bound, certificate.energy))
+        _, bounds, energies, _ = lyapunov.row_layout(
+            certificate.f_gap, bound, energy, certificate.decrease_margin, ""
+        )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -418,10 +407,10 @@ def emit_trace(
             [k, _fmt(f_gap), _fmt(grad_norm)]
             + [_fmt(v) for v in x]
             + [_fmt(v) for v in y]
-            + [flag, _fmt(e_k), _fmt(b_k)]
+            + [flag, e_k, b_k]
             for k, (f_gap, grad_norm, x, y, flag, e_k, b_k) in enumerate(zip(
-                (cols.f - optimum.f_star).tolist(), _grad_norm(cols).tolist(), cols.x.tolist(),
-                cols.y.tolist(), _violations(cols.f), energies, bounds,
+                (trace.f - optimum.f_star).tolist(), _grad_norm(trace).tolist(),
+                trace.x.tolist(), trace.y.tolist(), _violations(trace.f), energies, bounds,
             ))
         )
 
@@ -448,7 +437,7 @@ def load_trace(path: str) -> Trace:
     dimension and a finite f, and there must be params.iters + 1 records.
     problem_id must be a string. A z sits exactly where the scheme makes
     one: a monotone trace has a z on every record but the last, and any
-    other trace has none.
+    other trace has none. The validated arrays become the Trace's arrays.
     """
     payload = read_json(path, "JSON trace", UsageError)
     if not isinstance(payload, dict) or payload.get("kind") != "accelcert-trace":
@@ -489,8 +478,7 @@ def load_trace(path: str) -> Trace:
     z = _trace_column(records[:-1], "z", path) if monotone else np.empty((0, x.shape[1]))
     if any(col.shape != x.shape for col in (y, v, m)) or z.shape[1:] != x.shape[1:]:
         raise UsageError(f"trace {path!r}: records need vectors of one dimension")
-    columns = TraceColumns(x=x, y=y, v=v, map=m, f=f, z=z)
-    return Trace(params=params, problem_id=problem_id, columns=columns)
+    return Trace(params=params, problem_id=problem_id, x=x, y=y, v=v, map=m, f=f, z=z)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -538,7 +526,7 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     trace, certificate = run_experiment(cfg)
-    drop = trace.columns.f[0] - trace.columns.f[-1]
+    drop = trace.f[0] - trace.f[-1]
     print(
         f"run {cfg.algo} on {cfg.problem}: {cfg.iters} iterations, "
         f"f drop {drop:.6g} -> {cfg.trace_path}"
@@ -592,7 +580,7 @@ def main(argv=None) -> int:
     except (AccelCertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # e.g. the (iters+1, d) trace columns
+    except MemoryError as exc:  # e.g. the (iters+1, d) trace arrays
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

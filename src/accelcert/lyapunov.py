@@ -123,22 +123,22 @@ def energy(
     return EnergyBreakdown(k=k, tau=tau(k, r), potential=pot, mixed=mixed)
 
 
-def _energies(cols, s: float, r: float, optimum: OptimumInfo, form: str) -> np.ndarray:
-    """E(0..n-1) over a trace's columns, bit-identical to ``energy().total``.
+def _energies(trace: Trace, s: float, r: float, optimum: OptimumInfo, form: str) -> np.ndarray:
+    """E(0..n-1) over a trace's arrays, bit-identical to ``energy().total``.
 
     The elementwise terms are built in energy()'s operation order; each
     mixed term keeps its own np.dot, whose summation order is what energy()
     rounds with.
     """
-    n = len(cols.f) - 1
+    n = trace.iters
     ks = np.arange(n, dtype=float)[:, None]
-    x, y, m = cols.x[:n], cols.y[:n], cols.map[:n]
+    x, y, m = trace.x[:n], trace.y[:n], trace.map[:n]
     x_star = optimum.x_star
     if form == "velocity":
-        vecs = (ks - 1.0) * math.sqrt(s) * cols.v[:n] + r * (x - x_star) - s * (ks + r) * m
+        vecs = (ks - 1.0) * math.sqrt(s) * trace.v[:n] + r * (x - x_star) - s * (ks + r) * m
     else:
         vecs = ks * (y - x) + r * (y - x_star) - (ks + r) * s * m
-    potential = s * ((ks[:, 0] + 1.0) * (ks[:, 0] + r + 1.0)) * (cols.f[1:] - optimum.f_star)
+    potential = s * ((ks[:, 0] + 1.0) * (ks[:, 0] + r + 1.0)) * (trace.f[1:] - optimum.f_star)
     return potential + 0.5 * np.array(list(map(np.dot, vecs, vecs)))
 
 
@@ -148,10 +148,11 @@ def threshold_K(r: float) -> int:
     The raw formula is generally fractional; taking the ceiling before the
     max only shrinks the certified range, the conservative direction.
     """
-    if r < 2.0:
+    if not r >= 2.0:
         raise ParameterError(f"momentum parameter r must be >= 2, got {r}")
+    # Past about 4.5e307, 3r^2 and 4r are both inf and raw is inf - inf = NaN.
     raw = (3.0 * r * r - 4.0 * r - 12.0) / 8.0
-    if raw == math.inf:
+    if not math.isfinite(raw):
         raise ParameterError(f"momentum parameter r = {r} is too large: K(r) overflows")
     return max(0, math.ceil(raw))
 
@@ -185,6 +186,19 @@ def theorem_bound(
     with np.errstate(over="ignore"):
         power = float(np.float64(rate_factor(mu, s, lipschitz)) ** k)
     return numerator / (k * (k + r) * power)
+
+
+def row_layout(gap, bound, energy, margin, missing) -> list[np.ndarray]:
+    """A certificate's gap, bound, energy and decrease margin on its n+1 rows.
+
+    ``gap`` covers k = 0..n, ``bound`` k = 1..n, ``energy`` k = 0..n-1 and
+    ``margin`` k = 0..n-2. A row that a quantity does not cover holds
+    ``missing``: the bound at k = 0, the energy at k = n, and the margin at
+    k = n-1 and n. Returns four object arrays of n+1 entries.
+    """
+    pad = np.array([missing, missing], dtype=object)
+    return [np.asarray(gap, dtype=object), np.concatenate([pad[:1], bound]),
+            np.concatenate([energy, pad[:1]]), np.concatenate([margin, pad])]
 
 
 @dataclass(frozen=True)
@@ -224,18 +238,11 @@ class Certificate:
 
     @cached_property
     def rows(self) -> tuple[CertRow, ...]:
-        return tuple(
-            map(
-                CertRow,
-                range(len(self.f_gap)),
-                self.f_gap.tolist(),
-                [None] + self.bound.tolist(),
-                self.bound_ok.tolist(),
-                self.energy.tolist() + [None],
-                self.decrease_margin.tolist() + [None, None],
-                self.decrease_ok.tolist(),
-            )
-        )
+        gap, bound, energy, margin = (col.tolist() for col in row_layout(
+            self.f_gap, self.bound, self.energy, self.decrease_margin, None
+        ))
+        return tuple(map(CertRow, range(len(gap)), gap, bound, self.bound_ok.tolist(), energy,
+                         margin, self.decrease_ok.tolist()))
 
     def __eq__(self, other):
         if not isinstance(other, Certificate):
@@ -258,14 +265,15 @@ def certify(
 
     Row k carries the optimality gap f(x_k) - f*, the theorem bound (from
     k = 1), the energy E(k), and the raw decrease margin
-    E(k)/(1 + mu*s*(1-L*s)/4) - E(k+1). Flags apply relative plus absolute
-    slack: ANALYTIC_TOLS (1e-8, 1e-12) for analytic optima and
-    REFERENCE_TOLS (1e-6, 1e-9) for reference-run optima, whose f* carries
-    solver error. A row whose gap, bound or energy is not finite fails at
-    any k; past about 1.8e308 the rate power is inf and the bound 0.0. As in
-    ``run``, ``problem`` is a smooth oracle or a composite objective; one
-    that ``composite_for`` refuses for the trace's scheme raises
-    InvalidProblemError, and a step outside (0, 1/L) raises StepSizeError.
+    E(k)/rate_factor(mu, s, L) - E(k+1), with the base of the bound's
+    power. Flags apply relative plus absolute slack: ANALYTIC_TOLS (1e-8,
+    1e-12) for analytic optima and REFERENCE_TOLS (1e-6, 1e-9) for
+    reference-run optima, whose f* carries solver error. A row whose gap,
+    bound or energy is not finite fails at any k; past about 1.8e308 the
+    rate power is inf and the bound 0.0. As in ``run``, ``problem`` is a
+    smooth oracle or a composite objective; one that ``composite_for``
+    refuses for the trace's scheme raises InvalidProblemError, and a step
+    outside (0, 1/L) raises StepSizeError.
     """
     algo = trace.params.algo
     if algo not in CERTIFIABLE_ALGOS:
@@ -288,19 +296,16 @@ def certify(
             f"got {n + 1}"
         )
 
-    cols = trace.columns
-    if cols.x.shape[1] != oracle.dim:
+    if trace.x.shape[1] != oracle.dim:
         raise ParameterError(
-            f"trace has dimension {cols.x.shape[1]}, problem has dimension {oracle.dim}"
+            f"trace has dimension {trace.x.shape[1]}, problem has dimension {oracle.dim}"
         )
-    f_star = optimum.f_star
-    f_gap = cols.f - f_star
+    f_gap = trace.f - optimum.f_star
     f1_gap = float(f_gap[1])
-    diff1 = cols.x[1] - optimum.x_star
+    diff1 = trace.x[1] - optimum.x_star
     x1_dist_sq = float(np.dot(diff1, diff1))
-    shrink = 1.0 + mu * s * (1.0 - lipschitz * s) / 4.0
 
-    energies = _energies(cols, s, r, optimum, form)
+    energies = _energies(trace, s, r, optimum, form)
     # Bound for k = 1..n, as theorem_bound computes it; the power stays a
     # scalar power per k, whose last bits np.power does not reproduce.
     ks = np.arange(1, n + 1, dtype=float)
@@ -310,7 +315,7 @@ def certify(
     bound_ok = np.ones(n + 1, dtype=bool)
     first = max(1, big_k)
     bound_ok[first:] = f_gap[first:] <= bounds[first - 1:] * (1.0 + rel) + absolute
-    contracted = energies[:-1] / shrink
+    contracted = energies[:-1] / rate
     margins = contracted - energies[1:]
     decrease_ok = np.ones(n + 1, dtype=bool)
     decrease_ok[big_k:n - 1] = energies[big_k + 1:] <= contracted[big_k:] * (1.0 + rel) + absolute

@@ -9,6 +9,9 @@ import accelcert as ac
 from accelcert.algorithms import AlgoState, initial_state
 from accelcert.errors import InvalidProblemError, ParameterError, StepSizeError
 
+#: The six arrays a Trace stores.
+TRACE_ARRAYS = ("x", "y", "v", "map", "f", "z")
+
 
 def quad1d():
     return ac.make_quadratic([1.0])[0]
@@ -378,8 +381,8 @@ def test_composite_collapse_over_full_trace(quad2d):
         pb = ac.RunParams(algo=pair[1], step=0.4, iters=50, momentum_r=2.0)
         ta = ac.run(problem, pa, [1.0, 1.0])
         tb = ac.run(oracle, pb, [1.0, 1.0])
-        for name in ta.columns.__dataclass_fields__:
-            assert getattr(ta.columns, name).tobytes() == getattr(tb.columns, name).tobytes()
+        for name in TRACE_ARRAYS:
+            assert getattr(ta, name).tobytes() == getattr(tb, name).tobytes()
 
 
 def test_zero_weight_lasso_is_the_smooth_problem():
@@ -394,12 +397,10 @@ def test_zero_weight_lasso_is_the_smooth_problem():
             ac.run(problem, params, [3.0, -2.0]),
             ac.run(problem, dataclasses.replace(params, algo=composite_algo), [3.0, -2.0]),
         ):
-            for name in trace.columns.__dataclass_fields__:
-                assert getattr(trace.columns, name).tobytes() == getattr(
-                    smooth.columns, name
-                ).tobytes()
+            for name in TRACE_ARRAYS:
+                assert getattr(trace, name).tobytes() == getattr(smooth, name).tobytes()
         first = ac.step(smooth_algo, initial_state([3.0, -2.0]), problem, 0.2, 2.0)
-        assert np.array_equal(first.x, smooth.columns.x[1])
+        assert np.array_equal(first.x, smooth.x[1])
         assert ac.certify(ac.run(problem, params, [3.0, -2.0]), problem, optimum).overall_pass
 
 
@@ -415,24 +416,21 @@ def test_trace_columns_stack_records_read_only(quad2d):
     oracle, _ = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=30, momentum_r=2.0)
     trace = ac.run(oracle, params, [1.0, 1.0])
-    cols = trace.columns
-    assert cols is trace.columns
-    assert cols.x.shape == cols.y.shape == cols.v.shape == cols.map.shape == (31, 2)
-    assert cols.f.shape == (31,)
+    assert trace.x.shape == trace.y.shape == trace.v.shape == trace.map.shape == (31, 2)
+    assert {f.name for f in dataclasses.fields(trace)} == {"params", "problem_id", *TRACE_ARRAYS}
+    assert trace.f.shape == (31,) and trace.z.shape == (30, 2)
     for k, rec in enumerate(trace.records):
-        assert np.array_equal(cols.x[k], rec.x) and np.array_equal(cols.y[k], rec.y)
-        assert np.array_equal(cols.v[k], rec.v)
-        assert np.array_equal(cols.map[k], rec.first_order_at_y)
-        assert cols.f[k] == rec.f_or_phi_at_x
-    with pytest.raises(ValueError):
-        cols.x[0, 0] = 0.0
+        assert np.array_equal(trace.x[k], rec.x) and np.array_equal(trace.y[k], rec.y)
+        assert np.array_equal(trace.v[k], rec.v)
+        assert np.array_equal(trace.map[k], rec.first_order_at_y)
+        assert trace.f[k] == rec.f_or_phi_at_x
+    for name in TRACE_ARRAYS:
+        with pytest.raises(ValueError):
+            getattr(trace, name)[0] = 0.0
     shifted = dataclasses.replace(
-        trace,
-        columns=dataclasses.replace(
-            cols, **{name: getattr(cols, name)[1:] for name in cols.__dataclass_fields__}
-        ),
+        trace, **{name: getattr(trace, name)[1:] for name in TRACE_ARRAYS}
     )
-    assert shifted.columns.x.shape == (30, 2)
+    assert shifted.x.shape == (30, 2) and shifted.iters == 29
 
 
 @pytest.mark.parametrize("algo", ["m-nag", "m-fista", "m-nag-sc"])

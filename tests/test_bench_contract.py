@@ -1,7 +1,8 @@
 """The names the benchmark under ``perfbench/`` reads from the package.
 
 ``perfbench/tracing.py`` wraps the entry points in ``BOUNDARIES`` and reads
-``Trace.records``, ``Certificate.rows``, ``problems.smooth_part`` and
+``Trace.records`` (row views of the trace's arrays), ``Certificate.rows``
+(laid out by ``lyapunov.row_layout``), ``problems.smooth_part`` and
 ``_core.backend_name``; ``perfbench/run.py`` times ``problems.resolve_s`` by
 patching ``harness.resolve_problem``. A rename in the package would
 otherwise surface only in the benchmark's self-test.
@@ -51,8 +52,8 @@ def test_trace_records_and_certificate_rows(quad2d):
     assert len(records) == params.iters + 1
     assert {"x", "z"} <= {f.name for f in dataclasses.fields(records[0])}
     for k, rec in enumerate(records):
-        assert np.array_equal(rec.x, trace.columns.x[k])
-        assert (rec.z is None) == (k >= len(trace.columns.z))
+        assert np.array_equal(rec.x, trace.x[k])
+        assert (rec.z is None) == (k >= len(trace.z))
     assert records[-1].z is None
     cert = ac.certify(trace, oracle, optimum)
     assert len(cert.rows) == len(records)

@@ -87,6 +87,7 @@ QUAD_NAG = {"problem": "quad2d", "algo": "nag", "step": 0.4}
 @example({**QUAD_NAG, "step": 10**400}, 5)
 @example({**QUAD_NAG, "x0": [10**400, 1]}, 5)
 @example({**QUAD_NAG, "momentum_r": 1e200, "certify": True}, 5)
+@example({**QUAD_NAG, "momentum_r": 1e308, "certify": True}, 5)
 def test_run_with_any_config_file_exits_cleanly(mapping, iters):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")

@@ -154,7 +154,7 @@ def test_reloaded_trace_rewrites_identical_bytes(tmp_path, quad2d):
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=60, momentum_r=2.0)
     trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
-    z = trace.columns.z
+    z = trace.z
     texts = []
     for i in range(2):
         tr, cert = tmp_path / f"t{i}.json", tmp_path / f"c{i}.json"
@@ -164,8 +164,26 @@ def test_reloaded_trace_rewrites_identical_bytes(tmp_path, quad2d):
         trace = load_trace(str(tr))
     assert texts[0][0].count(b'"z": null') == 1 and b'"z": [' in texts[0][0]
     assert texts[1] == texts[0]
-    assert trace.columns.z.shape == (params.iters, 2)
-    assert trace.columns.z.tobytes() == z.tobytes()
+    assert trace.z.shape == (params.iters, 2)
+    assert trace.z.tobytes() == z.tobytes()
+
+
+@pytest.mark.parametrize("algo,iters", [("nag", 2), ("m-nag", 2), ("nag", 50), ("m-fista", 50)])
+def test_csv_trace_holds_the_certificate_columns(tmp_path, quad2d, algo, iters):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo=algo, step=0.4, iters=iters, momentum_r=2.0)
+    trace = ac.run(oracle, params, [1.0, 1.0])
+    cert = ac.certify(trace, oracle, optimum)
+    path = tmp_path / "t.csv"
+    emit_trace(trace, "csv", str(path), optimum=optimum, certificate=cert)
+    header, rows = read_csv(path)
+    assert len(rows) == iters + 1
+    for k, (row, cert_row) in enumerate(zip(rows, cert.rows)):
+        energy, bound = row[header.index("energy")], row[header.index("bound")]
+        assert (energy == "") == (k == iters) == (cert_row.energy is None)
+        assert (bound == "") == (k == 0) == (cert_row.bound is None)
+        assert energy == "" or float(energy) == cert_row.energy
+        assert bound == "" or float(bound) == cert_row.bound
 
 
 def test_load_trace_rejects_csv(tmp_path, quad2d):
@@ -613,20 +631,20 @@ def test_loaded_trace_columns_are_the_validated_arrays(tmp_path, quad2d):
     path = tmp_path / "t.json"
     emit_trace(trace, "json", str(path), optimum=optimum)
     loaded = load_trace(str(path))
-    cols = loaded.columns
     recs = loaded.records
     for name, col, stacked in [
-        ("x", cols.x, [rec.x for rec in recs]),
-        ("y", cols.y, [rec.y for rec in recs]),
-        ("v", cols.v, [rec.v for rec in recs]),
-        ("map", cols.map, [rec.first_order_at_y for rec in recs]),
-        ("f", cols.f, [rec.f_or_phi_at_x for rec in recs]),
+        ("x", loaded.x, [rec.x for rec in recs]),
+        ("y", loaded.y, [rec.y for rec in recs]),
+        ("v", loaded.v, [rec.v for rec in recs]),
+        ("map", loaded.map, [rec.first_order_at_y for rec in recs]),
+        ("f", loaded.f, [rec.f_or_phi_at_x for rec in recs]),
+        ("z", loaded.z, [rec.z for rec in recs[:-1]]),
     ]:
         assert not col.flags.writeable, name
         assert np.array_equal(col, np.array(stacked)), name
-    assert all(np.shares_memory(cols.x, rec.x) for rec in recs)
-    assert np.shares_memory(cols.map, recs[3].first_order_at_y)
-    assert np.array_equal(cols.x, trace.columns.x)
+    assert all(np.shares_memory(loaded.x, rec.x) for rec in recs)
+    assert np.shares_memory(loaded.map, recs[3].first_order_at_y)
+    assert np.array_equal(loaded.x, trace.x)
 
 
 def test_overflowing_energy_fails_the_certificate_without_a_warning(tmp_path, capsys):
@@ -645,8 +663,27 @@ def test_overflowing_energy_fails_the_certificate_without_a_warning(tmp_path, ca
     assert capsys.readouterr().err == "certificate: FAIL at k=0\n"
 
 
+def test_r_without_a_finite_K_is_a_one_line_error(tmp_path, capsys):
+    # From r ~ 4.5e307 on, K(r) is NaN: on the run flags and in a stored trace.
+    trace = tmp_path / "t.json"
+    argv = ["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4", "--iters", "5",
+            "--format", "json", "--trace-out", str(trace),
+            "--certificate-out", str(tmp_path / "c.json")]
+    assert harness.main(argv + ["--r", "2"]) == 0
+    payload = json.loads(trace.read_text())
+    payload["params"]["momentum_r"] = 1e308
+    trace.write_text(json.dumps(payload))
+    capsys.readouterr()
+    for call in (argv + ["--r", "1e308", "--certify"],
+                 ["certify", "--trace", str(trace), "--problem", "quad2d"]):
+        assert harness.main(call) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_out_of_memory_is_a_one_line_error(tmp_path):
-    # The address-space cap makes the (iters+1, d) columns fail to allocate;
+    # The address-space cap makes the (iters+1, d) arrays fail to allocate;
     # only the child process runs under it.
     resource = pytest.importorskip("resource")
 

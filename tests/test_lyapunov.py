@@ -152,6 +152,13 @@ def test_threshold_rejects_small_r():
         ac.threshold_K(1.9)
 
 
+# From about 4.5e307, 3r^2 and 4r are both inf, and 3r^2 - 4r - 12 is NaN.
+@pytest.mark.parametrize("r", [4.5e307, 1e308, math.nan])
+def test_threshold_rejects_r_without_a_finite_K(r):
+    with pytest.raises(ParameterError):
+        ac.threshold_K(r)
+
+
 def test_theorem_bound_hand_value(nag_trace, quad2d):
     oracle, optimum = quad2d
     x1 = nag_trace.records[1].x
@@ -274,9 +281,9 @@ def test_certify_applies_the_step_check_of_run():
 
 
 def test_certify_flags_tampered_trace(nag_trace, quad2d):
-    f = nag_trace.columns.f.copy()
+    f = nag_trace.f.copy()
     f[7] += 1.0
-    tampered = dataclasses.replace(nag_trace, columns=dataclasses.replace(nag_trace.columns, f=f))
+    tampered = dataclasses.replace(nag_trace, f=f)
     cert = ac.certify(tampered, quad2d[0], quad2d[1])
     assert not cert.overall_pass
     assert ly.first_failing_k(cert) in (5, 6, 7)
@@ -325,7 +332,7 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
     f1_gap = trace.records[1].f_or_phi_at_x - optimum.f_star
     diff1 = trace.records[1].x - optimum.x_star
     dist_sq = float(np.dot(diff1, diff1))
-    shrink = 1.0 + oracle.mu * s * (1.0 - oracle.lipschitz * s) / 4.0
+    shrink = ly.rate_factor(oracle.mu, s, oracle.lipschitz)
     energies = [ly.energy(trace, k, s, r, optimum, form).total for k in range(300)]
     for k, row in enumerate(cert.rows):
         assert row.k == k
@@ -353,11 +360,29 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
 
 
 
+def test_decrease_margin_divides_by_the_rate_factor():
+    # Here 1 + mu*s*(1 - L*s)/4 and 1 + (1 - L*s)*mu*s/4 round apart by one
+    # bit; the margin must use the base that the bound's power uses.
+    problem, optimum = ac.resolve_problem("quad-diag:0.209,0.666")
+    s = 0.27
+    trace = ac.run(problem, ac.RunParams(algo="nag", step=s, iters=200, momentum_r=R),
+                   np.ones(2))
+    cert = ac.certify(trace, problem, optimum)
+    rate = ly.rate_factor(problem.mu, s, problem.lipschitz)
+    assert rate != 1.0 + problem.mu * s * (1.0 - problem.lipschitz * s) / 4.0
+    expected = cert.energy[:-1] / rate - cert.energy[1:]
+    assert cert.decrease_margin.tobytes() == expected.tobytes()
+    for k, row in enumerate(cert.rows[:199]):
+        energy_k = ly.energy(trace, k, s, R, optimum, "velocity").total
+        energy_next = ly.energy(trace, k + 1, s, R, optimum, "velocity").total
+        assert row.decrease_margin == energy_k / rate - energy_next
+
+
 def test_certify_fails_a_row_with_infinite_f(nag_trace, quad2d):
     # f(x_1) = inf makes every bound inf, and inf <= inf would hold.
-    f = nag_trace.columns.f.copy()
+    f = nag_trace.f.copy()
     f[1] = math.inf
-    overflowed = dataclasses.replace(nag_trace, columns=dataclasses.replace(nag_trace.columns, f=f))
+    overflowed = dataclasses.replace(nag_trace, f=f)
     cert = ac.certify(overflowed, quad2d[0], quad2d[1])
     assert not cert.overall_pass
     assert ly.first_failing_k(cert) == 0

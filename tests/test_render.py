@@ -123,13 +123,12 @@ def test_render_keeps_negative_zero_apart(tmp_path, quad2d):
 
 
 def _with_non_finite(trace):
-    cols = trace.columns
-    f, x, m, z = (col.copy() for col in (cols.f, cols.x, cols.map, cols.z))
+    f, x, m, z = (col.copy() for col in (trace.f, trace.x, trace.map, trace.z))
     f[1] = float("inf")
     x[2] = [float("nan"), 1.0]
     m[3] = [float("-inf"), 0.0]
     z[4] = [-0.0, float("-nan")]
-    return dataclasses.replace(trace, columns=dataclasses.replace(cols, f=f, x=x, map=m, z=z))
+    return dataclasses.replace(trace, f=f, x=x, map=m, z=z)
 
 
 def test_render_spells_non_finite_values_as_json_dumps(tmp_path, quad2d):

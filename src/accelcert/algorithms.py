@@ -61,7 +61,8 @@ COMPOSITE_ALGOS = frozenset({"fista", "m-fista"})
 
 @dataclass(frozen=True)
 class AlgoState:
-    """Iterate (k, x_k, y_k, v_k) plus the candidate z_k of monotone schemes."""
+    """Iterate (k, x_k, y_k, v_k) plus, on a monotone scheme, the candidate
+    z_{k-1} of the comparison step that made it (None at k = 0)."""
 
     k: int
     x: Vector
@@ -108,6 +109,11 @@ class RunParams:
                 raise ParameterError(f"momentum parameter r must be >= 2, got {self.momentum_r}")
 
 
+def _layout_error(name: str, array, shape) -> ParameterError:
+    got = f"shape {array.shape}" if isinstance(array, np.ndarray) else type(array).__name__
+    return ParameterError(f"trace array {name!r} has {got}, need shape {shape}")
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     k: int
@@ -119,17 +125,17 @@ class TraceRecord:
     z: Vector | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """One run as whole-trajectory arrays, the one stored form of it; row k
-    holds record k.
+    """One run as whole-trajectory arrays, the one stored form of it.
 
-    ``x``, ``y``, ``v`` and ``map`` (the first-order map, a gradient or
-    proximal subgradient, evaluated at y_k during stepping) have shape
-    (n+1, d) and ``f`` (f or phi at x_k) has shape (n+1,). ``z`` holds the
-    candidates z_0..z_{n-1} of a monotone scheme, shape (n, d); the other
-    schemes make none, and their ``z`` has shape (0, d). The constructor
-    makes the six arrays read-only.
+    With n = ``params.iters`` and d >= 1, row k of ``x``, ``y``, ``v``,
+    ``map`` (the first-order map at y_k, a gradient or proximal
+    subgradient) and ``f`` (f or phi at x_k) holds record k, so they have
+    shape (n+1, d) and (n+1,). ``z`` holds the candidates z_0..z_{n-1} of a
+    monotone scheme, shape (n, d), and has shape (0, d) on the others. The
+    constructor checks this layout, raising ParameterError, and makes the
+    six arrays read-only. Traces compare by identity, not by their arrays.
     """
 
     params: RunParams
@@ -142,12 +148,26 @@ class Trace:
     z: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "y", "v", "map", "f", "z"):
+        if not isinstance(self.params, RunParams):
+            raise ParameterError(f"trace params must be a RunParams, got {self.params!r}")
+        if not isinstance(self.problem_id, str):
+            raise ParameterError(f"trace problem_id must be a string, got {self.problem_id!r}")
+        n, x = self.params.iters, self.x
+        if not (isinstance(x, np.ndarray) and x.ndim == 2 and x.shape[1] >= 1):
+            raise _layout_error("x", x, f"({n + 1}, d) with d >= 1")
+        d = x.shape[1]
+        shapes = {"x": (n + 1, d), "y": (n + 1, d), "v": (n + 1, d), "map": (n + 1, d),
+                  "f": (n + 1,), "z": (n if self.params.algo in MONOTONE_ALGOS else 0, d)}
+        for name, shape in shapes.items():
+            array = getattr(self, name)
+            if not (isinstance(array, np.ndarray) and array.shape == shape):
+                raise _layout_error(name, array, shape)
+        for name in shapes:
             getattr(self, name).setflags(write=False)
 
     @property
     def iters(self) -> int:
-        return len(self.f) - 1
+        return self.params.iters
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:

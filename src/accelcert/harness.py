@@ -27,7 +27,6 @@ from . import lyapunov
 from .algorithms import (
     R_FAMILY_ALGOS,
     ALGORITHMS,
-    MONOTONE_ALGOS,
     RunParams,
     Trace,
     run,
@@ -59,6 +58,13 @@ class ExperimentConfig:
     format: str = "csv"
     certify: bool = False
     energy_form: str = "auto"
+
+    def __post_init__(self):
+        # Default output paths: trace.<format>, and certificate.json when certifying.
+        if self.trace_path is None:
+            object.__setattr__(self, "trace_path", f"trace.{self.format}")
+        if self.certify and self.certificate_path is None:
+            object.__setattr__(self, "certificate_path", "certificate.json")
 
 
 def _run_params(cfg: ExperimentConfig) -> RunParams:
@@ -131,19 +137,15 @@ def _config_from_mapping(payload: dict, *, default_r: bool = True) -> Experiment
             raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
     payload = dict(payload)
     x0 = payload.get("x0", "ones")
-    if isinstance(x0, str) and x0 != "ones":
-        try:
-            x0 = [float(tok) for tok in x0.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad x0 {x0!r}: expected 'ones' or comma-separated floats") from exc
     if x0 != "ones":
         try:
-            x0 = tuple(json_floats(x0, 1).tolist())
+            if isinstance(x0, str):
+                x0 = [float(tok) for tok in x0.split(",") if tok.strip()]
+            payload["x0"] = tuple(json_floats(x0, 1).tolist())
         except ValueError as exc:
             raise UsageError(
-                f"config key 'x0' must be 'ones' or a list of numbers, got {x0!r}"
+                f"config key 'x0' must be 'ones' or a list of numbers, got {payload['x0']!r}"
             ) from exc
-    payload["x0"] = x0
     if default_r and payload["algo"] in R_FAMILY_ALGOS and payload.get("momentum_r") is None:
         payload["momentum_r"] = DEFAULT_R
     cfg = ExperimentConfig(**payload)
@@ -157,10 +159,6 @@ def _config_from_mapping(payload: dict, *, default_r: bool = True) -> Experiment
             f"no certificate available for {cfg.algo!r}; certifiable: "
             + ", ".join(sorted(CERTIFIABLE_ALGOS))
         )
-    if cfg.trace_path is None:
-        cfg = replace(cfg, trace_path=f"trace.{cfg.format}")
-    if cfg.certify and cfg.certificate_path is None:
-        cfg = replace(cfg, certificate_path="certificate.json")
     return cfg
 
 
@@ -433,11 +431,10 @@ def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
 def load_trace(path: str) -> Trace:
     """Re-ingest a JSON trace written by emit_trace (CSV is plot-only).
 
-    Every record must carry k equal to its index, finite vectors of one
-    dimension and a finite f, and there must be params.iters + 1 records.
-    problem_id must be a string. A z sits exactly where the scheme makes
-    one: a monotone trace has a z on every record but the last, and any
-    other trace has none. The validated arrays become the Trace's arrays.
+    The file must be an accelcert trace whose records carry k equal to
+    their index and finite JSON numbers, with the records that hold a z
+    before those that do not. The parsed arrays become the Trace's arrays,
+    and a layout the Trace constructor refuses is a usage error too.
     """
     payload = read_json(path, "JSON trace", UsageError)
     if not isinstance(payload, dict) or payload.get("kind") != "accelcert-trace":
@@ -455,30 +452,19 @@ def load_trace(path: str) -> Trace:
         raise UsageError(f"trace {path!r} is missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed trace {path!r}: {exc}") from exc
-    if not isinstance(problem_id, str):
-        raise UsageError(f"trace {path!r}: problem_id must be a string, got {problem_id!r}")
-    if len(records) != params.iters + 1:
-        raise UsageError(
-            f"trace {path!r} has {len(records)} records, params.iters + 1 = {params.iters + 1}"
-        )
-    monotone = params.algo in MONOTONE_ALGOS
-    bad_z = next((i for i, z in enumerate(zs) if (z is None) == (monotone and i < params.iters)),
-                 None)
-    if bad_z is not None:
-        rule = "a z on every record but the last" if monotone else "no z"
-        raise UsageError(
-            f"trace {path!r}: record {bad_z} has {'no' if zs[bad_z] is None else 'a'} z, "
-            f"but {params.algo} makes {rule}"
-        )
     bad_k = next((i for i, k in enumerate(ks) if type(k) is not int or k != i), None)
     if bad_k is not None:
         raise UsageError(f"trace {path!r}: record {bad_k} has k = {ks[bad_k]!r}")
+    n_z = sum(z is not None for z in zs)
+    if None in zs[:n_z]:
+        raise UsageError(f"trace {path!r}: record {zs.index(None)} has no z, but a later one has")
     x, y, v, m = (_trace_column(records, key, path) for key in ("x", "y", "v", "map"))
     f = _trace_column(records, "f", path, ndim=1)
-    z = _trace_column(records[:-1], "z", path) if monotone else np.empty((0, x.shape[1]))
-    if any(col.shape != x.shape for col in (y, v, m)) or z.shape[1:] != x.shape[1:]:
-        raise UsageError(f"trace {path!r}: records need vectors of one dimension")
-    return Trace(params=params, problem_id=problem_id, x=x, y=y, v=v, map=m, f=f, z=z)
+    z = _trace_column(records[:n_z], "z", path) if n_z else np.empty((0, x.shape[1]))
+    try:
+        return Trace(params=params, problem_id=problem_id, x=x, y=y, v=v, map=m, f=f, z=z)
+    except ParameterError as exc:
+        raise UsageError(f"trace {path!r}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):

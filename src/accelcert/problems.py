@@ -218,16 +218,10 @@ def make_lasso(
         raise InvalidProblemError(f"need 1..{MAX_DIM} columns, got {d}")
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise InvalidProblemError("design and target must be finite")
-    try:
-        lam = float(l1_weight)
-    except (TypeError, ValueError) as exc:
-        raise InvalidProblemError(f"l1 weight must be a number, got {l1_weight!r}") from exc
     if isinstance(ref_iters, float) and ref_iters.is_integer():
         ref_iters = int(ref_iters)
-    if isinstance(ref_iters, bool) or not isinstance(ref_iters, numbers.Integral):
-        raise InvalidProblemError(f"ref_iters must be an integer, got {ref_iters!r}")
-    if ref_iters < 1:
-        raise InvalidProblemError("reference run needs at least one iteration")
+    if not (_is_a(ref_iters, numbers.Integral) and ref_iters >= 1):
+        raise InvalidProblemError(f"ref_iters must be a positive integer, got {ref_iters!r}")
 
     # An overflow here is reported as the error below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -248,11 +242,11 @@ def make_lasso(
         return AtA @ np.asarray(x, dtype=float) - Atb
 
     oracle = SmoothOracle(dim=d, value=value, gradient=gradient, mu=mu, lipschitz=lipschitz)
-    problem = CompositeObjective(smooth=oracle, l1_weight=lam)
+    problem = CompositeObjective(smooth=oracle, l1_weight=l1_weight)
 
     ref_step = 0.9 / lipschitz
-    x_star, iterations = _solve_lasso(AtA, Atb, lam, ref_step, int(ref_iters))
-    residual = _subgradient_residual(AtA, Atb, lam, x_star)
+    x_star, iterations = _solve_lasso(AtA, Atb, l1_weight, ref_step, int(ref_iters))
+    residual = _subgradient_residual(AtA, Atb, l1_weight, x_star)
     optimum = OptimumInfo(
         x_star=x_star,
         f_star=problem.phi_value(x_star),

@@ -427,10 +427,57 @@ def test_trace_columns_stack_records_read_only(quad2d):
     for name in TRACE_ARRAYS:
         with pytest.raises(ValueError):
             getattr(trace, name)[0] = 0.0
-    shifted = dataclasses.replace(
-        trace, **{name: getattr(trace, name)[1:] for name in TRACE_ARRAYS}
-    )
-    assert shifted.x.shape == (30, 2) and shifted.iters == 29
+    # Every array one row shorter no longer matches params.iters = 30.
+    with pytest.raises(ParameterError):
+        dataclasses.replace(trace, **{name: getattr(trace, name)[1:] for name in TRACE_ARRAYS})
+
+
+def _short(name):
+    return lambda t: {name: getattr(t, name)[:-1]}
+
+
+def _wide(name):
+    return lambda t: {name: np.column_stack([getattr(t, name), np.zeros(len(getattr(t, name)))])}
+
+
+#: id -> (scheme, changes to its 20-step quad2d trace) that break the Trace layout.
+BAD_LAYOUTS = {
+    **{f"{name}-one-row-fewer": ("m-nag", _short(name)) for name in TRACE_ARRAYS},
+    **{f"{name}-one-column-more": ("m-nag", _wide(name)) for name in ("x", "y", "v", "map", "z")},
+    "nag-f-one-row-fewer": ("nag", _short("f")),
+    "nag-y-one-column-more": ("nag", _wide("y")),
+    "z-on-nag": ("nag", lambda t: {"z": t.x[:-1]}),
+    "no-z-on-m-nag": ("m-nag", lambda t: {"z": t.x[:0]}),
+    "iters-one-more": ("m-nag", lambda t: {"params": dataclasses.replace(t.params, iters=21)}),
+    "iters-one-less": ("m-nag", lambda t: {"params": dataclasses.replace(t.params, iters=19)}),
+    "problem-id-not-a-string": ("nag", lambda t: {"problem_id": 123}),
+    "params-not-run-params": ("nag", lambda t: {"params": {"algo": "nag", "iters": 20}}),
+    "x-a-list": ("nag", lambda t: {"x": t.x.tolist()}),
+    "x-no-columns": ("nag", lambda t: {"x": t.x[:, :0]}),
+    "x-one-dimensional": ("nag", lambda t: {"x": t.x.ravel()}),
+}
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("algo,change", BAD_LAYOUTS.values(), ids=BAD_LAYOUTS)
+def test_trace_constructor_checks_the_layout(quad2d, algo, change, build):
+    trace = ac.run(quad2d[0], ac.RunParams(algo=algo, step=0.4, iters=20, momentum_r=2.0),
+                   [1.0, 1.0], problem_id="quad2d")
+    changes = change(trace)
+    with pytest.raises(ParameterError):
+        if build == "replace":
+            dataclasses.replace(trace, **changes)
+        else:
+            fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
+            ac.Trace(**{**fields, **changes})
+
+
+def test_traces_compare_by_identity(quad2d):
+    oracle, _ = quad2d
+    params = ac.RunParams(algo="nag", step=0.4, iters=10, momentum_r=2.0)
+    a, b = (ac.run(oracle, params, [1.0, 1.0]) for _ in range(2))
+    assert a == a and a != b and len({a, b, a}) == 2
+    assert all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in TRACE_ARRAYS)
 
 
 @pytest.mark.parametrize("algo", ["m-nag", "m-fista", "m-nag-sc"])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -194,6 +195,52 @@ def test_load_trace_rejects_csv(tmp_path, quad2d):
     emit_trace(trace, "csv", str(path), optimum=optimum)
     with pytest.raises(UsageError):
         load_trace(str(path))
+
+
+def test_configs_of_every_origin_get_the_same_default_paths(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    mapping = {"problem": "quad2d", "algo": "m-nag", "step": 0.4, "iters": 20, "certify": True}
+    (tmp_path / "cfg.json").write_text(json.dumps(mapping))
+    flags = ["--problem", "quad2d", "--algo", "m-nag", "--step", "0.4", "--r", "2",
+             "--iters", "20", "--certify"]
+    configs = [ExperimentConfig(**mapping, momentum_r=2.0), parse_config(mapping),
+               parse_config("cfg.json"), parse_config(flags)]
+    assert {(c.trace_path, c.certificate_path) for c in configs} == {
+        ("trace.csv", "certificate.json")
+    }
+    for cfg in (*preset("fig1"), *preset("fig2")):
+        assert (cfg.trace_path, cfg.certificate_path) == ("trace.csv", None)
+    direct = ExperimentConfig(problem="quad2d", algo="gd", step=0.4, format="json")
+    assert (direct.trace_path, direct.certificate_path) == ("trace.json", None)
+    run_experiment(direct)
+    assert load_trace("trace.json").params.algo == "gd"
+    run_experiment(preset("fig1")[0])
+    _, rows = read_csv("trace.csv")
+    assert len(rows) == 201
+    run_experiment(configs[0])
+    assert json.loads((tmp_path / "certificate.json").read_text())["pass"] is True
+    os.remove("certificate.json")
+    assert harness.main(["run", *flags]) == 0
+    assert "PASS (K=0) -> certificate.json" in capsys.readouterr().out
+    assert json.loads((tmp_path / "certificate.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "fmt,guard", [("xml", None), ("json", "path-without-certificate"),
+                  ("csv", "certificate-of-other-rows"), ("json", "certificate-of-other-rows")],
+)
+def test_emit_trace_guards(tmp_path, quad2d, fmt, guard):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="nag", step=0.4, iters=10, momentum_r=2.0)
+    trace = ac.run(oracle, params, [1.0, 1.0])
+    longer = ac.run(oracle, dataclasses.replace(params, iters=12), [1.0, 1.0])
+    kwargs = {
+        "path-without-certificate": {"certificate_path": str(tmp_path / "c.json")},
+        "certificate-of-other-rows": {"certificate": ac.certify(longer, oracle, optimum)},
+    }.get(guard, {})
+    with pytest.raises(UsageError):
+        emit_trace(trace, fmt, str(tmp_path / "t"), optimum=optimum, **kwargs)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_certified_run_writes_certificate(tmp_path):
@@ -608,6 +655,8 @@ def test_run_leaves_trace_records_unbuilt(tmp_path, capsys, monkeypatch):
         {"problem": "quad2d", "algo": "nag", "step": 0.4, "iters": 2.5},
         {"problem": "quad2d", "algo": "nag", "step": 0.4, "momentum_r": "x"},
         {"problem": 5, "algo": "nag", "step": 0.4},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "x0": "a,b"},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "energy_form": "kinetic"},
         [1, 2],
     ],
 )

@@ -258,6 +258,11 @@ def test_certify_requires_certifiable_algorithm(quad2d):
         ac.certify(trace, oracle, optimum)
 
 
+def test_certify_requires_an_optimum(nag_trace, quad2d):
+    with pytest.raises(ParameterError, match="optimum"):
+        ac.certify(nag_trace, quad2d[0], None)
+
+
 def test_certify_requires_enough_records(quad2d):
     oracle, optimum = quad2d
     trace = ac.run(

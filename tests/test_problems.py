@@ -77,6 +77,12 @@ def test_oracle_eval_dimension_mismatch(quad2d):
         ac.oracle_eval(oracle, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("x", [["a", "b"], [[1.0, 2.0]]])
+def test_oracle_eval_rejects_what_is_not_a_numeric_vector(quad2d, x):
+    with pytest.raises(InvalidProblemError):
+        ac.oracle_eval(quad2d[0], x)
+
+
 def test_oracle_eval_scalar_problem():
     oracle, _ = ac.make_quadratic([1.0])
     value, grad = ac.oracle_eval(oracle, [-2.0])
@@ -179,6 +185,33 @@ def test_lasso_zero_weight_is_least_squares():
 def test_lasso_rejects_rank_deficiency():
     with pytest.raises(InvalidProblemError):
         ac.make_lasso([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], 0.5)
+
+
+@pytest.mark.parametrize(
+    "design,weight,ref_iters",
+    [
+        (np.eye(2), "0.4", 10),
+        (np.eye(2), True, 10),
+        (np.eye(2), None, 10),
+        (np.eye(2), -1.0, 10),
+        ([["a", 1.0], [0.0, 1.0]], 0.4, 10),
+        ([1.0, 2.0], 0.4, 10),
+        (np.eye(51)[:2], 0.4, 10),
+        (np.eye(2), 0.4, 0),
+        (np.eye(2), 0.4, 2.5),
+    ],
+)
+def test_make_lasso_rejects_bad_arguments(design, weight, ref_iters):
+    with pytest.raises(InvalidProblemError):
+        ac.make_lasso(design, [1.0, 1.0], weight, ref_iters=ref_iters)
+
+
+def test_make_lasso_takes_a_whole_float_ref_iters_and_the_weight_as_given():
+    problem, optimum = ac.make_lasso(np.eye(2), [3.0, -3.0], 1, ref_iters=3.0)
+    assert problem.l1_weight == 1 and type(problem.l1_weight) is int
+    assert optimum.solver_params["iterations"] == 3
+    _, as_float = ac.make_lasso(np.eye(2), [3.0, -3.0], 1.0, ref_iters=3)
+    assert optimum.x_star.tobytes() == as_float.x_star.tobytes()
 
 
 def test_lasso_constants_from_normal_matrix(lasso5):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -32,8 +33,8 @@ from .algorithms import (
     run,
 )
 from .errors import AccelCertError, ParameterError
-from .lyapunov import CERTIFIABLE_ALGOS, ENERGY_FORMS
-from .problems import json_floats, read_json, resolve_problem
+from .lyapunov import ENERGY_FORMS
+from .problems import comma_floats, json_floats, read_json, resolve_problem
 
 
 class UsageError(AccelCertError):
@@ -44,9 +45,31 @@ DEFAULT_ITERS = 200
 DEFAULT_R = 2.0
 FORMATS = ("csv", "json")
 
+#: The value types of the ExperimentConfig fields, numbers checked as RunParams
+#: checks them. The ``run`` flags have these names as their argparse dests.
+_CONFIG_TYPES = {
+    "problem": str,
+    "algo": str,
+    "step": numbers.Real,
+    "iters": numbers.Integral,
+    "momentum_r": (numbers.Real, type(None)),
+    "x0": (str, list, tuple),
+    "trace_path": (str, type(None)),
+    "certificate_path": (str, type(None)),
+    "format": str,
+    "certify": bool,
+    "energy_form": str,
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The settings of one ``run``, checked here whatever their origin (flags,
+    a --config file, a dict, direct, ``preset``, ``dataclasses.replace``) and
+    before any problem is resolved: a broken rule raises UsageError. A comma
+    string or list x0 becomes a tuple of floats; certifying adds
+    ``lyapunov.require_certifiable``. The paths hold what the caller gave."""
+
     problem: str
     algo: str
     step: float
@@ -60,31 +83,49 @@ class ExperimentConfig:
     energy_form: str = "auto"
 
     def __post_init__(self):
-        # Default output paths: trace.<format>, and certificate.json when certifying.
-        if self.trace_path is None:
-            object.__setattr__(self, "trace_path", f"trace.{self.format}")
+        for key, kind in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            # bool is an int subclass; it is a value only for "certify".
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
+        if self.x0 != "ones":
+            try:
+                x0 = comma_floats(self.x0) if isinstance(self.x0, str) else self.x0
+                object.__setattr__(self, "x0", tuple(json_floats(x0, 1).tolist()))
+            except ValueError as exc:
+                raise UsageError(f"x0 must be 'ones' or a list of numbers: {self.x0!r}") from exc
+        if self.format not in FORMATS:
+            raise UsageError(f"unknown format {self.format!r}")
+        if self.energy_form not in ENERGY_FORMS:
+            raise UsageError(f"unknown energy form {self.energy_form!r}")
+        if self.certificate_path is not None and not self.certify:
+            raise UsageError("a certificate path needs --certify")
+        try:
+            params = self.params
+            if self.certify:
+                lyapunov.require_certifiable(params, self.energy_form)
+        except ParameterError as exc:
+            raise UsageError(str(exc)) from exc
+
+    @property
+    def params(self) -> RunParams:
+        return RunParams(self.algo, self.step, self.iters, self.momentum_r)
+
+    def output_paths(self) -> tuple[str, str | None]:
+        """The trace and certificate paths the run writes: the ones given,
+        else trace.<format> and, when certifying, certificate.json."""
+        trace_path = f"trace.{self.format}" if self.trace_path is None else self.trace_path
         if self.certify and self.certificate_path is None:
-            object.__setattr__(self, "certificate_path", "certificate.json")
-
-
-def _run_params(cfg: ExperimentConfig) -> RunParams:
-    try:
-        return RunParams(algo=cfg.algo, step=cfg.step, iters=cfg.iters, momentum_r=cfg.momentum_r)
-    except ParameterError as exc:
-        raise UsageError(str(exc)) from exc
+            return trace_path, "certificate.json"
+        return trace_path, self.certificate_path
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build a validated ExperimentConfig.
-
-    ``source`` is either a list of command-line tokens for the ``run``
-    subcommand, a path to a JSON config file, or a dict with the same keys
-    as ExperimentConfig. All three go through one validator. Flags are laid
-    over the keys of the --config file, if any. A file or dict may omit
-    momentum_r or set it to null, which gives r = 2 to r-dependent
-    algorithms; on the command line without --config, --r is mandatory for
-    them.
-    """
+    """The ExperimentConfig of ``run`` command-line tokens, a JSON config
+    file's path, or a dict with ExperimentConfig's keys. Flags are laid over
+    the keys of the --config file, if any. A file or dict may omit momentum_r
+    or set it to null, which gives r = 2 to r-dependent algorithms; on the
+    command line without --config, --r is mandatory for them."""
     if isinstance(source, (list, tuple)):
         return _config_from_args(_build_parser().parse_args(["run", *source]))
     if isinstance(source, (str, os.PathLike)):
@@ -101,65 +142,21 @@ def _read_config(path) -> dict:
     return payload
 
 
-_NUMBER = (int, float)
-_OPTIONAL_STR = (str, type(None))
-#: The value types a config mapping may hold, per ExperimentConfig field.
-#: The ``run`` flags have these names as their argparse dests.
-_CONFIG_TYPES = {
-    "problem": str,
-    "algo": str,
-    "step": _NUMBER,
-    "iters": int,
-    "momentum_r": (*_NUMBER, type(None)),
-    "x0": (str, list, tuple),
-    "trace_path": _OPTIONAL_STR,
-    "certificate_path": _OPTIONAL_STR,
-    "format": str,
-    "certify": bool,
-    "energy_form": str,
-}
-
-
 def _config_from_mapping(payload: dict, *, default_r: bool = True) -> ExperimentConfig:
-    """The one validator of ``run`` settings. With ``default_r``, an
-    r-dependent algorithm without momentum_r gets r = 2."""
+    """The ExperimentConfig of a mapping's keys, all known and the required
+    ones present. With ``default_r``, an r-dependent algorithm without
+    momentum_r gets r = 2."""
     unknown = set(payload) - set(_CONFIG_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key in ("problem", "algo", "step"):
         if key not in payload:
             raise UsageError(f"config is missing required key {key!r}")
-    for key, value in payload.items():
-        # bool is an int subclass; it is a value only for "certify".
-        if not isinstance(value, _CONFIG_TYPES[key]) or (
-            isinstance(value, bool) and key != "certify"
-        ):
-            raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
-    payload = dict(payload)
-    x0 = payload.get("x0", "ones")
-    if x0 != "ones":
-        try:
-            if isinstance(x0, str):
-                x0 = [float(tok) for tok in x0.split(",") if tok.strip()]
-            payload["x0"] = tuple(json_floats(x0, 1).tolist())
-        except ValueError as exc:
-            raise UsageError(
-                f"config key 'x0' must be 'ones' or a list of numbers, got {payload['x0']!r}"
-            ) from exc
-    if default_r and payload["algo"] in R_FAMILY_ALGOS and payload.get("momentum_r") is None:
-        payload["momentum_r"] = DEFAULT_R
-    cfg = ExperimentConfig(**payload)
-    _run_params(cfg)
-    if cfg.format not in FORMATS:
-        raise UsageError(f"unknown format {cfg.format!r}")
-    if cfg.energy_form not in ENERGY_FORMS:
-        raise UsageError(f"unknown energy form {cfg.energy_form!r}")
-    if cfg.certify and cfg.algo not in CERTIFIABLE_ALGOS:
-        raise UsageError(
-            f"no certificate available for {cfg.algo!r}; certifiable: "
-            + ", ".join(sorted(CERTIFIABLE_ALGOS))
-        )
-    return cfg
+    algo = payload["algo"]
+    if (default_r and isinstance(algo, str) and algo in R_FAMILY_ALGOS
+            and payload.get("momentum_r") is None):
+        payload = {**payload, "momentum_r": DEFAULT_R}
+    return ExperimentConfig(**payload)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -178,40 +175,30 @@ def preset(name: str) -> list[ExperimentConfig]:
     reproducibility.
     """
     if name == "fig1":
-        return [
-            ExperimentConfig(
-                problem="quad2d", algo=algo, step=0.4, momentum_r=2.0,
-                iters=200, x0=(1.0, 1.0),
-            )
-            for algo in ("nag", "m-nag")
-        ]
+        return [ExperimentConfig(problem="quad2d", algo=algo, step=0.4, momentum_r=2.0,
+                                 iters=200, x0=(1.0, 1.0)) for algo in ("nag", "m-nag")]
     if name == "fig2":
-        return [
-            ExperimentConfig(
-                problem="quad2d", algo=algo, step=0.01, iters=2000, x0=(1.0, 1.0),
-            )
-            for algo in ("gd", "nag-sc", "m-nag-sc")
-        ]
+        return [ExperimentConfig(problem="quad2d", algo=algo, step=0.01, iters=2000,
+                                 x0=(1.0, 1.0)) for algo in ("gd", "nag-sc", "m-nag-sc")]
     raise UsageError(f"unknown preset {name!r}; available: fig1, fig2")
 
 
 def run_experiment(cfg: ExperimentConfig):
     """Run one configured experiment; returns (trace, certificate or None).
 
-    Writes the trace to cfg.trace_path and, when certifying, the
-    certificate JSON to cfg.certificate_path.
+    Writes the trace and, when certifying, the certificate JSON to
+    ``cfg.output_paths()``.
     """
+    trace_path, certificate_path = cfg.output_paths()
     problem, optimum = resolve_problem(cfg.problem)
     x0 = np.ones(problem.dim) if cfg.x0 == "ones" else cfg.x0
-    trace = run(problem, _run_params(cfg), x0, problem_id=cfg.problem)
+    trace = run(problem, cfg.params, x0, problem_id=cfg.problem)
 
     certificate = None
     if cfg.certify:
         certificate = lyapunov.certify(trace, problem, optimum, form=cfg.energy_form)
-    emit_trace(
-        trace, cfg.format, cfg.trace_path, optimum=optimum, certificate=certificate,
-        certificate_path=cfg.certificate_path if certificate is not None else None,
-    )
+    emit_trace(trace, cfg.format, trace_path, optimum=optimum, certificate=certificate,
+               certificate_path=certificate_path)
     return trace, certificate
 
 
@@ -274,8 +261,10 @@ def _certificate_floats(certificate) -> list[np.ndarray]:
 
 
 def _json_head(payload: dict, rows_key: str) -> str:
-    """json.dumps(payload) opened for a trailing list under ``rows_key``."""
-    return json.dumps(payload, check_circular=False)[:-1] + f", {json.dumps(rows_key)}: ["
+    """json.dumps(payload) opened for a trailing list under ``rows_key``; a
+    numpy scalar among the run's parameters is written as its Python value."""
+    head = json.dumps(payload, check_circular=False, default=np.generic.item)
+    return head[:-1] + f", {json.dumps(rows_key)}: ["
 
 
 def _write_rows(fh, head: str, template: str, tokens: np.ndarray) -> None:
@@ -512,17 +501,18 @@ def _build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     trace, certificate = run_experiment(cfg)
+    trace_path, certificate_path = cfg.output_paths()
     drop = trace.f[0] - trace.f[-1]
     print(
         f"run {cfg.algo} on {cfg.problem}: {cfg.iters} iterations, "
-        f"f drop {drop:.6g} -> {cfg.trace_path}"
+        f"f drop {drop:.6g} -> {trace_path}"
     )
     if certificate is not None:
         if not certificate.overall_pass:
             k = lyapunov.first_failing_k(certificate)
-            print(f"certificate: FAIL at k={k} -> {cfg.certificate_path}", file=sys.stderr)
+            print(f"certificate: FAIL at k={k} -> {certificate_path}", file=sys.stderr)
             return 2
-        print(f"certificate: PASS (K={certificate.threshold_K}) -> {cfg.certificate_path}")
+        print(f"certificate: PASS (K={certificate.threshold_K}) -> {certificate_path}")
     return 0
 
 

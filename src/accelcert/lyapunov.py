@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algorithms import MONOTONE_ALGOS, Trace, composite_for
+from .algorithms import MONOTONE_ALGOS, RunParams, Trace, composite_for
 from .errors import ParameterError
 from .problems import OptimumInfo, Problem, Vector
 from .proximal import require_step
@@ -157,6 +157,23 @@ def threshold_K(r: float) -> int:
     return max(0, math.ceil(raw))
 
 
+def require_certifiable(params: RunParams, form: str = "auto") -> tuple[str, int]:
+    """The certify rule that a run's settings alone decide, else ParameterError:
+    the scheme is in CERTIFIABLE_ALGOS, ``resolve_form`` accepts ``form`` for
+    it, K(r) is finite, and iters >= max{1, K} + 1. Returns the form and K."""
+    if params.algo not in CERTIFIABLE_ALGOS:
+        certifiable = ", ".join(sorted(CERTIFIABLE_ALGOS))
+        raise ParameterError(f"no certificate for {params.algo!r}; certifiable: {certifiable}")
+    form = resolve_form(params.algo, form)
+    big_k = threshold_K(params.momentum_r)
+    if params.iters < max(1, big_k) + 1:
+        raise ParameterError(
+            f"too few iterations to certify: need at least {max(1, big_k) + 1} "
+            f"for K = {big_k}, got {params.iters}"
+        )
+    return form, big_k
+
+
 def rate_factor(mu: float, s: float, lipschitz: float) -> float:
     """Per-step contraction base 1 + (1 - L*s) * mu*s/4 of the rate bound."""
     return 1.0 + (1.0 - lipschitz * s) * mu * s / 4.0
@@ -273,29 +290,18 @@ def certify(
     rate power is inf and the bound 0.0. As in ``run``, ``problem`` is a
     smooth oracle or a composite objective; one that ``composite_for``
     refuses for the trace's scheme raises InvalidProblemError, and a step
-    outside (0, 1/L) raises StepSizeError.
+    outside (0, 1/L) raises StepSizeError. The rule on the trace's settings
+    alone is ``require_certifiable``, which a run's config checks up front.
     """
-    algo = trace.params.algo
-    if algo not in CERTIFIABLE_ALGOS:
-        raise ParameterError(f"no certificate available for algorithm {algo!r}")
+    form, big_k = require_certifiable(trace.params, form)
     if optimum is None:
         raise ParameterError("certification requires an optimum")
-    oracle = composite_for(problem, algo).smooth
-    s = trace.params.step
+    oracle = composite_for(problem, trace.params.algo).smooth
+    s, r = trace.params.step, trace.params.momentum_r
     require_step(s, oracle.lipschitz)
-    r = trace.params.momentum_r
     mu, lipschitz = oracle.mu, oracle.lipschitz
-    form = resolve_form(algo, form)
     rel, absolute = REFERENCE_TOLS if optimum.source == "reference-run" else ANALYTIC_TOLS
-
-    big_k = threshold_K(r)
     n = trace.iters
-    if n < max(1, big_k) + 1:
-        raise ParameterError(
-            f"trace too short to certify: need at least {max(1, big_k) + 2} records, "
-            f"got {n + 1}"
-        )
-
     if trace.x.shape[1] != oracle.dim:
         raise ParameterError(
             f"trace has dimension {trace.x.shape[1]}, problem has dimension {oracle.dim}"

@@ -142,6 +142,12 @@ def json_floats(value, ndim: int) -> np.ndarray:
         raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
 
 
+def comma_floats(text: str) -> list[float]:
+    """The numbers of a comma-separated list such as "1,2.5". A token that
+    is not a number raises ValueError, an empty one ("1,,2", "1,") too."""
+    return [float(tok) for tok in text.split(",")]
+
+
 def read_json(path, what: str, error: type[Exception]):
     """The JSON value in the UTF-8 file at ``path``. A file that cannot be
     opened, decoded or parsed raises ``error`` with a one-line message."""
@@ -363,11 +369,9 @@ def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
     if name.startswith("quad-diag:"):
         body = name[len("quad-diag:"):]
         try:
-            coeffs = [float(tok) for tok in body.split(",") if tok.strip()]
+            coeffs = comma_floats(body)
         except ValueError as exc:
             raise InvalidProblemError(f"bad quad-diag coefficients {body!r}") from exc
-        if not coeffs:
-            raise InvalidProblemError("quad-diag needs at least one coefficient")
         return make_quadratic(coeffs)
     if name.startswith("lasso:"):
         path = name[len("lasso:"):]

@@ -5,10 +5,12 @@ all end in one validator, so they must agree on every mapping, and no
 mapping may make ``main`` raise.
 """
 
+import dataclasses
 import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from accelcert import harness
@@ -104,3 +106,81 @@ def test_every_run_flag_is_a_config_key():
     (sub,) = [a for a in parser._actions if a.dest == "command"]
     dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config", "command"}
     assert dests <= set(harness._CONFIG_TYPES)
+
+
+QUAD_NAG_R2 = {**QUAD_NAG, "momentum_r": 2.0}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"format": "xml"},
+        {"energy_form": "other"},
+        {"algo": "gd", "momentum_r": None, "certify": True},
+        {"algo": "m-nag", "energy_form": "velocity", "certify": True},
+        {"momentum_r": None},
+        {"step": "0.4"},
+        {"iters": True},
+        {"x0": "a,b"},
+        {"x0": [1, True]},
+        {"x0": "1,,2"},
+        {"x0": "1,"},
+        {"momentum_r": 200.0, "iters": 14000, "certify": True},
+        {"certificate_path": "c.json"},
+    ],
+)
+def test_a_direct_config_is_checked_when_built(fields):
+    with pytest.raises(UsageError):
+        harness.ExperimentConfig(**{**QUAD_NAG_R2, **fields})
+
+
+def test_replace_is_checked_and_resolves_paths_from_the_new_format(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = harness.ExperimentConfig(problem="quad2d", algo="gd", step=0.4, iters=5)
+    with pytest.raises(UsageError):
+        dataclasses.replace(cfg, format="xml")
+    harness.run_experiment(dataclasses.replace(cfg, format="json"))
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.json"]
+    assert harness.load_trace("trace.json").params.algo == "gd"
+
+
+def test_preset_configs_validate():
+    for cfg in (*harness.preset("fig1"), *harness.preset("fig2")):
+        assert dataclasses.replace(cfg) == cfg
+        assert cfg.x0 == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--algo", "m-nag", "--r", "2", "--iters", "100000", "--certify",
+         "--energy-form", "velocity", "--format", "json"],
+        ["--algo", "nag", "--r", "200", "--iters", "14000", "--certify"],
+        ["--algo", "nag", "--r", "2", "--iters", "20", "--certificate-out", "cc.json"],
+    ],
+)
+def test_refused_settings_exit_before_the_first_step(tmp_path, monkeypatch, capsys, flags):
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused config reached the run")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "resolve_problem", fail)
+    monkeypatch.setattr(harness, "run", fail)
+    rc = harness.main(["run", "--problem", "quad2d", "--step", "0.4", *flags])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numpy_valued_config_writes_the_bytes_of_its_python_twin(tmp_path):
+    def trace_bytes(name, **fields):
+        cfg = harness.ExperimentConfig(problem="quad2d", algo="nag", format="json",
+                                       trace_path=str(tmp_path / name), **fields)
+        harness.run_experiment(cfg)
+        return (tmp_path / name).read_bytes()
+
+    numpy_valued = trace_bytes("np.json", step=np.float64(0.4), iters=np.int64(20),
+                               momentum_r=np.int64(3), x0="1,-2")
+    assert numpy_valued == trace_bytes("py.json", step=0.4, iters=20, momentum_r=3,
+                                       x0=[1.0, -2.0])

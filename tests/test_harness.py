@@ -41,7 +41,7 @@ def test_parse_config_figure_run():
     assert cfg.iters == 200
     assert cfg.format == "csv"
     assert cfg.energy_form == "auto"
-    assert cfg.trace_path == "trace.csv"
+    assert cfg.output_paths() == ("trace.csv", None)
 
 
 def test_parse_config_requires_r_on_cli():
@@ -205,13 +205,11 @@ def test_configs_of_every_origin_get_the_same_default_paths(tmp_path, monkeypatc
              "--iters", "20", "--certify"]
     configs = [ExperimentConfig(**mapping, momentum_r=2.0), parse_config(mapping),
                parse_config("cfg.json"), parse_config(flags)]
-    assert {(c.trace_path, c.certificate_path) for c in configs} == {
-        ("trace.csv", "certificate.json")
-    }
+    assert {c.output_paths() for c in configs} == {("trace.csv", "certificate.json")}
     for cfg in (*preset("fig1"), *preset("fig2")):
-        assert (cfg.trace_path, cfg.certificate_path) == ("trace.csv", None)
+        assert cfg.output_paths() == ("trace.csv", None)
     direct = ExperimentConfig(problem="quad2d", algo="gd", step=0.4, format="json")
-    assert (direct.trace_path, direct.certificate_path) == ("trace.json", None)
+    assert direct.output_paths() == ("trace.json", None)
     run_experiment(direct)
     assert load_trace("trace.json").params.algo == "gd"
     run_experiment(preset("fig1")[0])
@@ -658,6 +656,10 @@ def test_run_leaves_trace_records_unbuilt(tmp_path, capsys, monkeypatch):
         {"problem": "quad2d", "algo": "nag", "step": 0.4, "x0": "a,b"},
         {"problem": "quad2d", "algo": "nag", "step": 0.4, "energy_form": "kinetic"},
         [1, 2],
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "x0": "1,,2"},
+        {"problem": "quad2d", "algo": "nag", "step": 0.4, "x0": "1,2,"},
+        {"problem": "quad-diag:1,,2", "algo": "gd", "step": 0.1},
+        {"problem": "quad-diag:1,2,", "algo": "gd", "step": 0.1},
     ],
 )
 def test_malformed_config_file_is_a_usage_error(tmp_path, capsys, payload):
@@ -716,14 +718,14 @@ def test_r_without_a_finite_K_is_a_one_line_error(tmp_path, capsys):
     # From r ~ 4.5e307 on, K(r) is NaN: on the run flags and in a stored trace.
     trace = tmp_path / "t.json"
     argv = ["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4", "--iters", "5",
-            "--format", "json", "--trace-out", str(trace),
-            "--certificate-out", str(tmp_path / "c.json")]
+            "--format", "json", "--trace-out", str(trace)]
     assert harness.main(argv + ["--r", "2"]) == 0
     payload = json.loads(trace.read_text())
     payload["params"]["momentum_r"] = 1e308
     trace.write_text(json.dumps(payload))
     capsys.readouterr()
-    for call in (argv + ["--r", "1e308", "--certify"],
+    for call in (argv + ["--r", "1e308", "--certify",
+                         "--certificate-out", str(tmp_path / "c.json")],
                  ["certify", "--trace", str(trace), "--problem", "quad2d"]):
         assert harness.main(call) == 1
         captured = capsys.readouterr()

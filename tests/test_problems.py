@@ -335,7 +335,9 @@ def test_resolve_lasso_file(tmp_path, identity_lasso):
 
 
 @pytest.mark.parametrize(
-    "name", ["nope", "quad-diag:", "quad-diag:a,b", "lasso:/definitely/missing.json"]
+    "name",
+    ["nope", "quad-diag:", "quad-diag:a,b", "quad-diag:1,,2", "quad-diag:1,2,",
+     "lasso:/definitely/missing.json"],
 )
 def test_resolve_rejects_bad_names(name):
     with pytest.raises(InvalidProblemError):

@@ -15,12 +15,11 @@ here is deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import numbers
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -68,7 +67,8 @@ class ExperimentConfig:
     a --config file, a dict, direct, ``preset``, ``dataclasses.replace``) and
     before any problem is resolved: a broken rule raises UsageError. A comma
     string or list x0 becomes a tuple of floats; certifying adds
-    ``lyapunov.require_certifiable``. The paths hold what the caller gave."""
+    ``lyapunov.require_certifiable``. The paths hold what the caller gave, and
+    the trace and certificate must resolve to two files."""
 
     problem: str
     algo: str
@@ -100,6 +100,14 @@ class ExperimentConfig:
             raise UsageError(f"unknown energy form {self.energy_form!r}")
         if self.certificate_path is not None and not self.certify:
             raise UsageError("a certificate path needs --certify")
+        paths = [path for path in self.output_paths() if path is not None]
+        try:
+            real_paths = set(map(os.path.realpath, paths))
+        except ValueError as exc:  # an embedded NUL byte
+            raise UsageError(f"bad output path: {exc}") from exc
+        if len(real_paths) < len(paths):
+            raise UsageError("the trace and the certificate would be one file: "
+                             + " and ".join(map(repr, paths)))
         try:
             params = self.params
             if self.certify:
@@ -187,9 +195,12 @@ def run_experiment(cfg: ExperimentConfig):
     """Run one configured experiment; returns (trace, certificate or None).
 
     Writes the trace and, when certifying, the certificate JSON to
-    ``cfg.output_paths()``.
+    ``cfg.output_paths()``, whose directories must exist before the run starts.
     """
     trace_path, certificate_path = cfg.output_paths()
+    for path in filter(None, (trace_path, certificate_path)):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"no directory for output {path!r}")
     problem, optimum = resolve_problem(cfg.problem)
     x0 = np.ones(problem.dim) if cfg.x0 == "ones" else cfg.x0
     trace = run(problem, cfg.params, x0, problem_id=cfg.problem)
@@ -214,16 +225,14 @@ def _grad_norm(trace: Trace) -> np.ndarray:
     return np.sqrt(list(map(np.dot, trace.map, trace.map)))
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
-# JSON writes. The trace and certificate of one call are rendered from one
-# table of float tokens: each distinct float64 bit pattern among all the
-# floats they hold is formatted once, as json.dumps formats it, and the
-# records are filled into a % template RENDER_CHUNK at a time. The bytes
-# are those of json.dumps over the per-record dict trees, which
-# certificate_to_dict still describes.
+# Writes. Every file emit_trace writes is rendered one way: each distinct
+# float64 bit pattern among its floats is spelled once into a table of
+# tokens, and the token matrix is filled into a % row template RENDER_CHUNK
+# rows at a time. A JSON trace and its certificate share a table spelled as
+# json.dumps spells floats, and give json.dumps's bytes over the per-record
+# dict trees (certificate_to_dict for a certificate). A CSV trace is spelled
+# as format(v, ".17g") with CRLF line ends, csv.writer's bytes since no field
+# needs quoting; its JSON certificate gets a table of its own.
 
 #: Records (or certificate rows) rendered per write.
 RENDER_CHUNK = 1000
@@ -236,20 +245,31 @@ _FLAGS = np.array(["0", "1"], dtype=object)
 _CERT_ROW = '{"k": %s, "gap": %s, "bound": %s, "energy": %s, "decrease_margin": %s}'
 
 
-def _float_tokens(*columns) -> list[np.ndarray]:
-    """JSON tokens of float arrays, as object arrays of the same shapes.
+def _json_spelling(values: np.ndarray) -> list[str]:
+    """json.dumps's tokens of floats: _format_float, and NaN, Infinity and
+    -Infinity for the non-finite ones."""
+    table = list(map(_format_float, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        table[i] = _NON_FINITE[table[i]]
+    return table
 
-    The formatter runs once per distinct bit pattern over all the columns,
-    so -0.0 and 0.0 keep their own tokens and NaN, Infinity and -Infinity
-    are spelled as json.dumps spells them.
+
+def _csv_spelling(values: np.ndarray) -> list[str]:
+    """format(v, ".17g") of floats, which spells non-finite ones nan, inf and -inf."""
+    return [format(v, ".17g") for v in values.tolist()]
+
+
+def _float_tokens(spelling, *columns) -> list[np.ndarray]:
+    """Tokens of float arrays, as object arrays of the same shapes.
+
+    ``spelling`` maps an array of floats to their tokens. It runs once over
+    the distinct bit patterns of all the columns, so -0.0 and 0.0 keep
+    their own tokens.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
     bits = np.concatenate([a.ravel() for a in arrays]).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    values = distinct.view(np.float64)
-    table = np.array(list(map(_format_float, values.tolist())), dtype=object)
-    for i in np.flatnonzero(~np.isfinite(values)):
-        table[i] = _NON_FINITE[table[i]]
+    table = np.array(spelling(distinct.view(np.float64)), dtype=object)
     tokens = table[inverse.ravel()]
     ends = np.cumsum([a.size for a in arrays])
     return [part.reshape(a.shape) for part, a in zip(np.split(tokens, ends[:-1]), arrays)]
@@ -260,6 +280,11 @@ def _certificate_floats(certificate) -> list[np.ndarray]:
             certificate.decrease_margin]
 
 
+def _int_tokens(n: int) -> np.ndarray:
+    """The tokens of 0..n-1, the k column."""
+    return np.array(list(map(str, range(n))), dtype=object)
+
+
 def _json_head(payload: dict, rows_key: str) -> str:
     """json.dumps(payload) opened for a trailing list under ``rows_key``; a
     numpy scalar among the run's parameters is written as its Python value."""
@@ -267,15 +292,15 @@ def _json_head(payload: dict, rows_key: str) -> str:
     return head[:-1] + f", {json.dumps(rows_key)}: ["
 
 
-def _write_rows(fh, head: str, template: str, tokens: np.ndarray) -> None:
+def _write_rows(fh, head: str, template: str, tokens: np.ndarray, sep: str, tail: str) -> None:
     """Write ``head``, each row of ``tokens`` filled into ``template`` with
-    rows joined by ", ", and the closing "]}" and newline."""
+    rows joined by ``sep``, and ``tail``."""
     fh.write(head)
     for start in range(0, len(tokens), RENDER_CHUNK):
         rows = tokens[start:start + RENDER_CHUNK]
-        text = ", ".join([template] * len(rows)) % tuple(rows.ravel().tolist())
-        fh.write(", " + text if start else text)
-    fh.write("]}\n")
+        text = sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
+        fh.write(sep + text if start else text)
+    fh.write(tail)
 
 
 def _write_certificate(fh, certificate, tokens=None) -> None:
@@ -286,13 +311,13 @@ def _write_certificate(fh, certificate, tokens=None) -> None:
     own.
     """
     if tokens is None:
-        tokens = _float_tokens(*_certificate_floats(certificate))
-    ks = np.array(list(map(str, range(len(certificate.f_gap)))), dtype=object)
-    matrix = np.column_stack([ks, *lyapunov.row_layout(*tokens, "null")])
+        tokens = _float_tokens(_json_spelling, *_certificate_floats(certificate))
+    matrix = np.column_stack([_int_tokens(len(certificate.f_gap)),
+                              *lyapunov.row_layout(*tokens, "null")])
     head = _json_head(
         {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
     )
-    _write_rows(fh, head, _CERT_ROW, matrix)
+    _write_rows(fh, head, _CERT_ROW, matrix, ", ", "]}\n")
 
 
 def _record_template(d: int) -> str:
@@ -304,63 +329,19 @@ def _record_template(d: int) -> str:
     ).replace("VEC", vec)
 
 
-def _write_json_trace(trace: Trace, path: str, optimum, certificate, certificate_path) -> None:
-    """Write the trace as json.dumps writes its per-record dicts, with the
-    certificate to ``certificate_path`` from the same token table. Each
-    record's z is one token: the vector z_k on the records ``trace.z``
-    holds, null on the rest."""
-    n_records, d = trace.x.shape
-    floats = [trace.x, trace.y, trace.v, trace.z, trace.f, trace.map,
-              trace.f - optimum.f_star, _grad_norm(trace)]
-    energy = bound = np.full(n_records, "null", dtype=object)
-    if certificate is not None:
-        floats += _certificate_floats(certificate)
-    tokens = _float_tokens(*floats)
-    x, y, v, z, f, m, f_gap, grad_norm = tokens[:8]
-    if certificate is not None:
-        cert_tokens = tokens[8:]
-        _, bound, energy, _ = lyapunov.row_layout(*cert_tokens, "null")
-        if certificate_path is not None:
-            with open(certificate_path, "w") as fh:
-                _write_certificate(fh, certificate, cert_tokens)
-
-    z_text = np.array(
-        ["[" + ", ".join(row) + "]" for row in z.tolist()] + ["null"] * (n_records - len(z)),
-        dtype=object,
-    )
-    matrix = np.column_stack([
-        np.array(list(map(str, range(n_records))), dtype=object),
-        x, y, v, z_text, f, m, f_gap, grad_norm, _FLAGS[_violations(trace.f)], energy, bound,
-    ])
-    params = trace.params
-    head = _json_head(
-        {
-            "kind": "accelcert-trace",
-            "problem_id": trace.problem_id,
-            "params": {
-                "algo": params.algo,
-                "step": params.step,
-                "iters": params.iters,
-                "momentum_r": params.momentum_r,
-            },
-        },
-        "records",
-    )
-    with open(path, "w") as fh:
-        _write_rows(fh, head, _record_template(d), matrix)
-
-
 def emit_trace(
     trace: Trace, fmt: str, path: str, *, optimum, certificate=None, certificate_path=None
 ) -> None:
-    """Write a trace to disk, and its certificate to ``certificate_path``.
+    """Write a trace to ``path``, then its certificate to ``certificate_path``.
 
     CSV columns: k, f_gap, grad_norm, x..., y..., monotone_violation,
-    energy, bound (the last two blank unless a certificate is supplied).
-    JSON mirrors those fields and adds the full per-iteration state, with
-    floats written as their repr so reloading is bit-faithful. The
-    certificate is JSON in both cases; with a JSON trace the two share one
-    table of float tokens.
+    energy, bound (the last two blank unless a certificate is supplied),
+    with numbers as format(v, ".17g") and CRLF line ends. JSON mirrors those
+    fields and adds the full per-iteration state, with floats written as
+    their repr so reloading is bit-faithful; each record's z is the vector
+    z_k on the records ``trace.z`` holds, null on the rest. The certificate
+    is JSON in both cases; with a JSON trace the two share one table of
+    float tokens.
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
@@ -368,38 +349,44 @@ def emit_trace(
         raise UsageError("a certificate path needs a certificate")
     if certificate is not None and len(certificate.f_gap) != len(trace.f):
         raise UsageError("the certificate's rows do not match the trace's records")
-    if fmt == "json":
-        _write_json_trace(trace, path, optimum, certificate, certificate_path)
-        return
+    json_trace = fmt == "json"
+    n_records, d = trace.x.shape
+    floats = [trace.f - optimum.f_star, _grad_norm(trace), trace.x, trace.y]
+    if json_trace:
+        floats += [trace.v, trace.z, trace.f, trace.map]
+    if certificate is not None:
+        floats += _certificate_floats(certificate)
+    tokens = _float_tokens(_json_spelling if json_trace else _csv_spelling, *floats)
+    f_gap, grad_norm, x, y = tokens[:4]
+    missing = "null" if json_trace else ""
+    energy = bound = np.full(n_records, missing, dtype=object)
+    if certificate is not None:
+        _, bound, energy, _ = lyapunov.row_layout(*tokens[-4:], missing)
+    ks, flags = _int_tokens(n_records), _FLAGS[_violations(trace.f)]
+
+    if json_trace:
+        v, z, f, m = tokens[4:8]
+        z_text = np.array(
+            ["[" + ", ".join(row) + "]" for row in z.tolist()] + ["null"] * (n_records - len(z)),
+            dtype=object,
+        )
+        matrix = np.column_stack(
+            [ks, x, y, v, z_text, f, m, f_gap, grad_norm, flags, energy, bound]
+        )
+        head = _json_head({"kind": "accelcert-trace", "problem_id": trace.problem_id,
+                           "params": asdict(trace.params)}, "records")
+        template, sep, tail = _record_template(d), ", ", "]}\n"
+    else:
+        matrix = np.column_stack([ks, f_gap, grad_norm, x, y, flags, energy, bound])
+        names = ["k", "f_gap", "grad_norm", *(f"x{i}" for i in range(d)),
+                 *(f"y{i}" for i in range(d)), "monotone_violation", "energy", "bound"]
+        head = ",".join(names) + "\r\n"
+        template, sep, tail = ",".join(["%s"] * len(names)), "\r\n", "\r\n"
+    with open(path, "w", newline=None if json_trace else "") as fh:
+        _write_rows(fh, head, template, matrix, sep, tail)
     if certificate_path is not None:
         with open(certificate_path, "w") as fh:
-            _write_certificate(fh, certificate)
-    d = trace.x.shape[1]
-    energies = bounds = [""] * len(trace.f)
-    if certificate is not None:
-        bound, energy = ([_fmt(v) for v in col.tolist()]
-                         for col in (certificate.bound, certificate.energy))
-        _, bounds, energies, _ = lyapunov.row_layout(
-            certificate.f_gap, bound, energy, certificate.decrease_margin, ""
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "f_gap", "grad_norm"]
-            + [f"x{i}" for i in range(d)]
-            + [f"y{i}" for i in range(d)]
-            + ["monotone_violation", "energy", "bound"]
-        )
-        writer.writerows(
-            [k, _fmt(f_gap), _fmt(grad_norm)]
-            + [_fmt(v) for v in x]
-            + [_fmt(v) for v in y]
-            + [flag, e_k, b_k]
-            for k, (f_gap, grad_norm, x, y, flag, e_k, b_k) in enumerate(zip(
-                (trace.f - optimum.f_star).tolist(), _grad_norm(trace).tolist(),
-                trace.x.tolist(), trace.y.tolist(), _violations(trace.f), energies, bounds,
-            ))
-        )
+            _write_certificate(fh, certificate, tokens[-4:] if json_trace else None)
 
 
 def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
@@ -528,6 +515,8 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.out and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        raise UsageError(f"--out would overwrite the trace {args.trace!r}")
     trace = load_trace(args.trace)
     problem, optimum = resolve_problem(args.problem)
     certificate = lyapunov.certify(trace, problem, optimum, form=args.energy_form)

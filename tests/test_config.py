@@ -127,6 +127,11 @@ QUAD_NAG_R2 = {**QUAD_NAG, "momentum_r": 2.0}
         {"x0": "1,"},
         {"momentum_r": 200.0, "iters": 14000, "certify": True},
         {"certificate_path": "c.json"},
+        {"certify": True, "trace_path": "./x.csv", "certificate_path": "x.csv"},
+        {"certify": True, "trace_path": "certificate.json"},
+        {"certify": True, "format": "json", "trace_path": "out/../t.json",
+         "certificate_path": "t.json"},
+        {"trace_path": "t\x00.csv"},
     ],
 )
 def test_a_direct_config_is_checked_when_built(fields):
@@ -157,6 +162,15 @@ def test_preset_configs_validate():
          "--energy-form", "velocity", "--format", "json"],
         ["--algo", "nag", "--r", "200", "--iters", "14000", "--certify"],
         ["--algo", "nag", "--r", "2", "--iters", "20", "--certificate-out", "cc.json"],
+        ["--algo", "m-nag", "--r", "2", "--iters", "30", "--certify", "--trace-out", "./x.csv",
+         "--certificate-out", "x.csv"],
+        ["--algo", "m-nag", "--r", "2", "--iters", "30", "--certify", "--trace-out",
+         "certificate.json"],
+        ["--algo", "m-nag", "--r", "2", "--iters", "300000", "--certify", "--format", "json",
+         "--trace-out", "missing/t.json", "--certificate-out", "orphan.json"],
+        ["--algo", "m-nag", "--r", "2", "--iters", "30", "--certify", "--certificate-out",
+         "missing/c.json"],
+        ["--algo", "gd", "--iters", "30", "--trace-out", "missing/t.csv"],
     ],
 )
 def test_refused_settings_exit_before_the_first_step(tmp_path, monkeypatch, capsys, flags):
@@ -171,6 +185,24 @@ def test_refused_settings_exit_before_the_first_step(tmp_path, monkeypatch, caps
     assert rc == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_colliding_paths_of_a_config_file_exit_before_the_first_step(tmp_path, monkeypatch,
+                                                                      capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused config reached the run")
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**QUAD_NAG_R2, "certify": True, "trace_path": "t.csv",
+                               "certificate_path": "./t.csv"}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setattr(harness, "run", fail)
+    assert harness.main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(work.iterdir()) == []
 
 
 def test_numpy_valued_config_writes_the_bytes_of_its_python_twin(tmp_path):

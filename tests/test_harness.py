@@ -554,6 +554,21 @@ def test_certify_checks_z_against_the_scheme(tmp_path, capsys, algo, mutate):
     assert err.startswith("error: ") and err.count("\n") == 1 and "z" in err
 
 
+def test_certify_refuses_to_write_over_its_trace(tmp_path, capsys, monkeypatch):
+    tr = tmp_path / "t.json"
+    harness.main(["run", "--problem", "quad2d", "--algo", "m-nag", "--step", "0.4", "--r", "2",
+                  "--iters", "30", "--format", "json", "--trace-out", str(tr)])
+    before = tr.read_bytes()
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert harness.main(["certify", "--trace", "t.json", "--problem", "quad2d",
+                         "--out", str(tr)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert tr.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
 def test_certify_rejects_problem_of_other_dimension(tmp_path, capsys):
     tr = tmp_path / "t.json"
     rc = harness.main(["run", "--problem", "quad-diag:1,2,3", "--algo", "nag", "--step", "0.1",

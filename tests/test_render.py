@@ -1,10 +1,13 @@
-"""The JSON renderer of traces and certificates against json.dumps.
+"""The renderer of traces and certificates against json.dumps and csv.writer.
 
 ``reference_trace`` and ``reference_certificate`` build the per-record dict
-trees and write them with json.dumps; the renderer must give their bytes.
+trees and write them with json.dumps, and ``reference_csv`` writes the CSV
+rows with csv.writer; the renderer must give their bytes.
 """
 
+import csv
 import dataclasses
+import io
 import json
 import os
 import struct
@@ -61,12 +64,46 @@ def reference_certificate(certificate) -> str:
     return json.dumps(ly.certificate_to_dict(certificate), check_circular=False) + "\n"
 
 
+def reference_csv(trace, optimum, certificate=None) -> str:
+    """A CSV trace as csv.writer writes its rows, numbers as format(v, ".17g")."""
+    def fmt(value):
+        return "" if value is None else format(value, ".17g")
+
+    d = trace.x.shape[1]
+    rows = [None] * len(trace.f) if certificate is None else certificate.rows
+    records = trace.records
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "f_gap", "grad_norm", *(f"x{i}" for i in range(d)),
+                     *(f"y{i}" for i in range(d)), "monotone_violation", "energy", "bound"])
+    for k, (rec, row) in enumerate(zip(records, rows)):
+        writer.writerow([
+            rec.k,
+            fmt(float(rec.f_or_phi_at_x) - optimum.f_star),
+            fmt(float(np.linalg.norm(rec.first_order_at_y))),
+            *map(fmt, rec.x.tolist()),
+            *map(fmt, rec.y.tolist()),
+            int(k > 0 and rec.f_or_phi_at_x > records[k - 1].f_or_phi_at_x),
+            fmt(None if row is None else row.energy),
+            fmt(None if row is None else row.bound),
+        ])
+    return buf.getvalue()
+
+
 def _write(tmp_path, trace, optimum, certificate=None):
     """emit_trace's JSON trace and certificate bytes (certificate None if absent)."""
     tr, cert = tmp_path / "t.json", tmp_path / "c.json"
     emit_trace(trace, "json", str(tr), optimum=optimum, certificate=certificate,
                certificate_path=None if certificate is None else str(cert))
     return tr.read_text(), None if certificate is None else cert.read_text()
+
+
+def _write_csv(tmp_path, trace, optimum, certificate=None):
+    """emit_trace's CSV trace and certificate texts, line ends as written."""
+    tr, cert = tmp_path / "t.csv", tmp_path / "c.json"
+    emit_trace(trace, "csv", str(tr), optimum=optimum, certificate=certificate,
+               certificate_path=None if certificate is None else str(cert))
+    return tr.read_bytes().decode(), None if certificate is None else cert.read_text()
 
 
 def _assert_same_text(got, want):
@@ -79,6 +116,13 @@ def _assert_same_text(got, want):
 def _assert_same_as_reference(tmp_path, trace, optimum, certificate=None):
     text, cert_text = _write(tmp_path, trace, optimum, certificate)
     _assert_same_text(text, reference_trace(trace, optimum, certificate))
+    if certificate is not None:
+        _assert_same_text(cert_text, reference_certificate(certificate))
+
+
+def _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate=None):
+    text, cert_text = _write_csv(tmp_path, trace, optimum, certificate)
+    _assert_same_text(text, reference_csv(trace, optimum, certificate))
     if certificate is not None:
         _assert_same_text(cert_text, reference_certificate(certificate))
 
@@ -110,6 +154,64 @@ def test_render_matches_json_dumps_for_every_scheme(tmp_path, quad2d, lasso5, na
     _assert_same_as_reference(tmp_path, trace, optimum, certificate)
     if certificate is not None:
         _assert_same_as_reference(tmp_path, trace, optimum)
+
+
+@pytest.mark.parametrize("name,algo,step,r", CASES)
+def test_csv_matches_csv_writer_for_every_scheme(tmp_path, quad2d, lasso5, name, algo, step, r):
+    problem, optimum = lasso5 if name == "lasso5" else quad2d
+    x0 = [0.7, -1.3] if name == "quad2d" else [0.3, -0.2, 0.5, 1.0, -1.0]
+    params = ac.RunParams(algo=algo, step=step, iters=400, momentum_r=r)
+    trace = ac.run(problem, params, x0, problem_id=name)
+    if algo in ly.CERTIFIABLE_ALGOS:
+        _assert_csv_same_as_reference(tmp_path, trace, optimum, ac.certify(trace, problem, optimum))
+    _assert_csv_same_as_reference(tmp_path, trace, optimum)
+
+
+@pytest.mark.parametrize("d", [1, 50])
+@pytest.mark.parametrize("algo,r", [("gd", None), ("nag-sc", None), ("m-nag-sc", None),
+                                    ("nag", 2.0), ("m-nag", 3.5)])
+def test_csv_matches_csv_writer_across_dimensions(tmp_path, d, algo, r):
+    oracle, optimum = ac.make_quadratic(np.geomspace(5e-3, 1.0, d))
+    x0 = np.linspace(-1.0, 1.0, d) if d > 1 else [-0.7]
+    trace = ac.run(oracle, ac.RunParams(algo=algo, step=0.4, iters=300, momentum_r=r), x0)
+    certificate = None
+    if algo in ly.CERTIFIABLE_ALGOS:
+        certificate = ac.certify(trace, oracle, optimum)
+    _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate)
+
+
+def test_csv_keeps_negative_zero_apart(tmp_path, quad2d):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=20, momentum_r=2.0)
+    trace = ac.run(oracle, params, [-0.0, 0.0], problem_id="quad2d")
+    certificate = ac.certify(trace, oracle, optimum)
+    text, _ = _write_csv(tmp_path, trace, optimum, certificate)
+    assert text.splitlines()[1].split(",")[3:7] == ["-0", "0", "-0", "0"]
+    _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate)
+
+
+def test_csv_spells_non_finite_values_as_csv_writer(tmp_path, quad2d):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=12, momentum_r=2.0)
+    trace = _with_non_finite(ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d"))
+    certificate = ac.certify(trace, oracle, optimum)
+    text, _ = _write_csv(tmp_path, trace, optimum, certificate)
+    for token in (",inf,", ",nan,"):
+        assert token in text
+    _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate)
+
+
+@pytest.mark.parametrize(
+    "n_records", [2, harness.RENDER_CHUNK - 1, harness.RENDER_CHUNK, harness.RENDER_CHUNK + 1]
+)
+def test_csv_across_chunk_edges(tmp_path, quad2d, n_records):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=n_records - 1, momentum_r=2.0)
+    trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
+    certificate = ac.certify(trace, oracle, optimum) if n_records > 2 else None
+    _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate)
+    text, _ = _write_csv(tmp_path, trace, optimum, certificate)
+    assert text.count("\r\n") == text.count("\n") == n_records + 1
 
 
 def test_render_keeps_negative_zero_apart(tmp_path, quad2d):

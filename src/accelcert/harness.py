@@ -32,7 +32,6 @@ from .algorithms import (
     run,
 )
 from .errors import AccelCertError, ParameterError
-from .lyapunov import ENERGY_FORMS
 from .problems import comma_floats, json_floats, read_json, resolve_problem
 
 
@@ -57,7 +56,6 @@ _CONFIG_TYPES = {
     "certificate_path": (str, type(None)),
     "format": str,
     "certify": bool,
-    "energy_form": str,
 }
 
 
@@ -66,7 +64,7 @@ class ExperimentConfig:
     """The settings of one ``run``, checked here whatever their origin (flags,
     a --config file, a dict, direct, ``preset``, ``dataclasses.replace``) and
     before any problem is resolved: a broken rule raises UsageError. A comma
-    string or list x0 becomes a tuple of floats; certifying adds
+    string or list x0 becomes a tuple of finite floats; certifying adds
     ``lyapunov.require_certifiable``. The paths hold what the caller gave, and
     the trace and certificate must resolve to two files."""
 
@@ -80,7 +78,6 @@ class ExperimentConfig:
     certificate_path: str | None = None
     format: str = "csv"
     certify: bool = False
-    energy_form: str = "auto"
 
     def __post_init__(self):
         for key, kind in _CONFIG_TYPES.items():
@@ -90,14 +87,12 @@ class ExperimentConfig:
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         if self.x0 != "ones":
             try:
-                x0 = comma_floats(self.x0) if isinstance(self.x0, str) else self.x0
-                object.__setattr__(self, "x0", tuple(json_floats(x0, 1).tolist()))
+                x0 = json_floats(comma_floats(self.x0) if isinstance(self.x0, str) else self.x0, 1)
+                object.__setattr__(self, "x0", tuple(np.asarray_chkfinite(x0).tolist()))
             except ValueError as exc:
-                raise UsageError(f"x0 must be 'ones' or a list of numbers: {self.x0!r}") from exc
+                raise UsageError(f"x0 must be 'ones' or finite numbers: {self.x0!r}") from exc
         if self.format not in FORMATS:
             raise UsageError(f"unknown format {self.format!r}")
-        if self.energy_form not in ENERGY_FORMS:
-            raise UsageError(f"unknown energy form {self.energy_form!r}")
         if self.certificate_path is not None and not self.certify:
             raise UsageError("a certificate path needs --certify")
         paths = [path for path in self.output_paths() if path is not None]
@@ -111,7 +106,7 @@ class ExperimentConfig:
         try:
             params = self.params
             if self.certify:
-                lyapunov.require_certifiable(params, self.energy_form)
+                lyapunov.require_certifiable(params)
         except ParameterError as exc:
             raise UsageError(str(exc)) from exc
 
@@ -191,23 +186,30 @@ def preset(name: str) -> list[ExperimentConfig]:
     raise UsageError(f"unknown preset {name!r}; available: fig1, fig2")
 
 
+def _check_output_path(path: str | None) -> None:
+    """Refuse an output path that is empty, ends in a separator, is a directory
+    or lies in a missing one, before any work is done; None is no path."""
+    if path is not None and (not os.path.basename(path) or os.path.isdir(path)
+                             or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
+        raise UsageError(f"output path {path!r} names no file in an existing directory")
+
+
 def run_experiment(cfg: ExperimentConfig):
     """Run one configured experiment; returns (trace, certificate or None).
 
     Writes the trace and, when certifying, the certificate JSON to
-    ``cfg.output_paths()``, whose directories must exist before the run starts.
+    ``cfg.output_paths()``, which must name files in existing directories.
     """
     trace_path, certificate_path = cfg.output_paths()
-    for path in filter(None, (trace_path, certificate_path)):
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise UsageError(f"no directory for output {path!r}")
+    for path in (trace_path, certificate_path):
+        _check_output_path(path)
     problem, optimum = resolve_problem(cfg.problem)
     x0 = np.ones(problem.dim) if cfg.x0 == "ones" else cfg.x0
     trace = run(problem, cfg.params, x0, problem_id=cfg.problem)
 
     certificate = None
     if cfg.certify:
-        certificate = lyapunov.certify(trace, problem, optimum, form=cfg.energy_form)
+        certificate = lyapunov.certify(trace, problem, optimum)
     emit_trace(trace, cfg.format, trace_path, optimum=optimum, certificate=certificate,
                certificate_path=certificate_path)
     return trace, certificate
@@ -467,8 +469,6 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--format", choices=FORMATS, help="trace format (default csv)")
     p_run.add_argument("--certify", action="store_const", const=True, default=None,
                        help="certify the run and gate the exit code on it")
-    p_run.add_argument("--energy-form", choices=ENERGY_FORMS, dest="energy_form",
-                       help="energy form for certification (default auto)")
     p_run.add_argument("--config", help="JSON config file; explicit flags override it")
 
     p_preset = sub.add_parser("preset", help="run a figure preset")
@@ -479,8 +479,6 @@ def _build_parser() -> _Parser:
     p_cert = sub.add_parser("certify", help="re-certify a stored JSON trace")
     p_cert.add_argument("--trace", required=True, help="JSON trace path")
     p_cert.add_argument("--problem", required=True, help="problem the trace was run on")
-    p_cert.add_argument("--energy-form", choices=ENERGY_FORMS, dest="energy_form",
-                        default="auto")
     p_cert.add_argument("--out", help="certificate output path (default: stdout)")
     return parser
 
@@ -515,11 +513,12 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _check_output_path(args.out)
     if args.out and os.path.realpath(args.out) == os.path.realpath(args.trace):
         raise UsageError(f"--out would overwrite the trace {args.trace!r}")
     trace = load_trace(args.trace)
     problem, optimum = resolve_problem(args.problem)
-    certificate = lyapunov.certify(trace, problem, optimum, form=args.energy_form)
+    certificate = lyapunov.certify(trace, problem, optimum)
     if args.out:
         with open(args.out, "w") as fh:
             _write_certificate(fh, certificate)

@@ -159,7 +159,7 @@ def read_json(path, what: str, error: type[Exception]):
 
 
 def smooth_part(problem: Problem) -> SmoothOracle:
-    return problem.smooth if isinstance(problem, CompositeObjective) else problem
+    return as_composite(problem).smooth
 
 
 def as_composite(problem: Problem) -> CompositeObjective:

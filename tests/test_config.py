@@ -15,7 +15,7 @@ import pytest
 
 from accelcert import harness
 from accelcert.algorithms import ALGORITHMS
-from accelcert.harness import ENERGY_FORMS, FORMATS, UsageError, parse_config
+from accelcert.harness import FORMATS, UsageError, parse_config
 
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, example, given, settings  # noqa: E402
@@ -49,9 +49,8 @@ PLAUSIBLE = {
     "certificate_path": st.sampled_from([None, "c.json"]),
     "format": st.sampled_from([*FORMATS, "xml"]),
     "certify": st.booleans(),
-    "energy_form": st.sampled_from([*ENERGY_FORMS, "other"]),
 }
-#: The eleven config keys plus one that no config may hold.
+#: The ten config keys plus one that no config may hold.
 KEYS = (*harness._CONFIG_TYPES, "stepsize")
 
 MAPPINGS = st.fixed_dictionaries(
@@ -115,9 +114,7 @@ QUAD_NAG_R2 = {**QUAD_NAG, "momentum_r": 2.0}
     "fields",
     [
         {"format": "xml"},
-        {"energy_form": "other"},
         {"algo": "gd", "momentum_r": None, "certify": True},
-        {"algo": "m-nag", "energy_form": "velocity", "certify": True},
         {"momentum_r": None},
         {"step": "0.4"},
         {"iters": True},
@@ -125,6 +122,9 @@ QUAD_NAG_R2 = {**QUAD_NAG, "momentum_r": 2.0}
         {"x0": [1, True]},
         {"x0": "1,,2"},
         {"x0": "1,"},
+        {"x0": "nan,1"},
+        {"x0": "1e400,1"},
+        {"x0": [float("inf"), 1.0]},
         {"momentum_r": 200.0, "iters": 14000, "certify": True},
         {"certificate_path": "c.json"},
         {"certify": True, "trace_path": "./x.csv", "certificate_path": "x.csv"},
@@ -158,8 +158,14 @@ def test_preset_configs_validate():
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--algo", "m-nag", "--r", "2", "--iters", "100000", "--certify",
-         "--energy-form", "velocity", "--format", "json"],
+        ["--algo", "m-nag", "--r", "2", "--iters", "200000", "--certify", "--format", "json",
+         "--trace-out", ".", "--certificate-out", "c2.json"],
+        ["--algo", "m-nag", "--r", "2", "--iters", "30", "--certify", "--certificate-out", "."],
+        ["--algo", "gd", "--iters", "100000", "--trace-out", ""],
+        ["--algo", "m-nag", "--r", "2", "--iters", "30", "--certify", "--certificate-out", ""],
+        ["--algo", "gd", "--iters", "30", "--trace-out", "t.csv/"],
+        ["--algo", "gd", "--iters", "30", "--x0=nan,1"],
+        ["--algo", "gd", "--iters", "30", "--x0=1e400,1"],
         ["--algo", "nag", "--r", "200", "--iters", "14000", "--certify"],
         ["--algo", "nag", "--r", "2", "--iters", "20", "--certificate-out", "cc.json"],
         ["--algo", "m-nag", "--r", "2", "--iters", "30", "--certify", "--trace-out", "./x.csv",

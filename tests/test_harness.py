@@ -40,7 +40,6 @@ def test_parse_config_figure_run():
     assert cfg.momentum_r == 2.0
     assert cfg.iters == 200
     assert cfg.format == "csv"
-    assert cfg.energy_form == "auto"
     assert cfg.output_paths() == ("trace.csv", None)
 
 
@@ -297,12 +296,17 @@ def test_unwritable_trace_path_is_reported(tmp_path):
     assert rc == 1
 
 
-def test_explicit_energy_form_flag(tmp_path):
-    rc = harness.main(["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4",
-                       "--r", "2", "--iters", "40", "--certify", "--energy-form", "xy",
-                       "--trace-out", str(tmp_path / "t.csv"),
-                       "--certificate-out", str(tmp_path / "c.json")])
-    assert rc == 0
+@pytest.mark.parametrize("algo", ["nag", "nag-phase", "fista"])
+def test_xy_energy_gives_the_verdicts_of_the_schemes_form(quad2d, algo):
+    # The paper's equivalence: once x, y and v obey the position-velocity
+    # relation, the velocity-free energy certifies as the velocity one does.
+    params = ac.RunParams(algo=algo, step=0.4, iters=200, momentum_r=2.0)
+    trace = ac.run(quad2d[0], params, [1.0, 1.0], problem_id="quad2d")
+    default = ac.certify(trace, *quad2d)
+    xy = ac.certify(trace, *quad2d, form="xy")
+    assert default.overall_pass and xy.overall_pass
+    assert np.array_equal(xy.bound_ok, default.bound_ok)
+    assert np.array_equal(xy.decrease_ok, default.decrease_ok)
 
 
 def test_preset_definitions():
@@ -567,6 +571,22 @@ def test_certify_refuses_to_write_over_its_trace(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert tr.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
+@pytest.mark.parametrize("out", ["d", "", "missing/c.json"])
+def test_certify_refuses_an_out_path_that_names_no_file(tmp_path, capsys, monkeypatch, out):
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused --out reached the trace")
+
+    (tmp_path / "d").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "load_trace", fail)
+    monkeypatch.setattr(harness, "resolve_problem", fail)
+    rc = harness.main(["certify", "--trace", "t.json", "--problem", "quad2d", "--out", out])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["d"] and not any((tmp_path / "d").iterdir())
 
 
 def test_certify_rejects_problem_of_other_dimension(tmp_path, capsys):

@@ -20,6 +20,8 @@ and x' = z unless a monotone scheme's comparison keeps x_k:
 
 nag-phase keeps its own position-velocity transition: it is the
 independent form that the two-point nag trajectory is checked against.
+``SCHEMES`` is the one place a scheme's facts live: every rule that
+depends on a scheme reads its ``Scheme`` row.
 
 ``step(algo, state, problem, s, r)`` is the one public single step; it
 checks its arguments as ``RunParams`` checks a run's and takes the same
@@ -41,22 +43,44 @@ from .errors import InvalidProblemError, ParameterError
 from .problems import CompositeObjective, Problem, Vector, _as_vector, _is_a, as_composite
 from .proximal import prox_step, require_step
 
-ALGORITHMS = (
-    "gd",
-    "nag",
-    "nag-phase",
-    "m-nag",
-    "fista",
-    "m-fista",
-    "nag-sc",
-    "m-nag-sc",
-)
+
+@dataclass(frozen=True)
+class Scheme:
+    """A scheme's facts: ``momentum``, its beta_k in the table above, is
+    "none", "r" (k/(k+r+1), which needs r >= 2) or "constant"; a ``monotone``
+    scheme compares and has gamma_k, a ``composite`` one runs on a positive
+    l1 weight, a ``certifiable`` one has the rate and decrease certificates,
+    and a ``phase`` one steps in position-velocity form."""
+
+    momentum: str
+    monotone: bool = False
+    composite: bool = False
+    certifiable: bool = False
+    phase: bool = False
+
+
+SCHEMES = {
+    "gd": Scheme("none"),
+    "nag": Scheme("r", certifiable=True),
+    "nag-phase": Scheme("r", certifiable=True, phase=True),
+    "m-nag": Scheme("r", monotone=True, certifiable=True),
+    "fista": Scheme("r", composite=True, certifiable=True),
+    "m-fista": Scheme("r", monotone=True, composite=True, certifiable=True),
+    "nag-sc": Scheme("constant"),
+    "m-nag-sc": Scheme("constant", monotone=True),
+}
+ALGORITHMS = tuple(SCHEMES)
 #: Algorithms whose momentum weight depends on the parameter r.
-R_FAMILY_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
+R_FAMILY_ALGOS = frozenset(name for name, row in SCHEMES.items() if row.momentum == "r")
 #: Algorithms with a comparison step (function values never increase).
-MONOTONE_ALGOS = frozenset({"m-nag", "m-fista", "m-nag-sc"})
-#: Algorithms that run on a positive l1 weight; every algorithm runs on g = 0.
-COMPOSITE_ALGOS = frozenset({"fista", "m-fista"})
+MONOTONE_ALGOS = frozenset(name for name, row in SCHEMES.items() if row.monotone)
+
+
+def scheme_of(algo) -> Scheme:
+    """The SCHEMES row of ``algo``; any other value raises ParameterError."""
+    if algo not in ALGORITHMS:
+        raise ParameterError(f"unknown algorithm {algo!r}; choose from {', '.join(ALGORITHMS)}")
+    return SCHEMES[algo]
 
 
 @dataclass(frozen=True)
@@ -86,10 +110,7 @@ class RunParams:
     momentum_r: float | None = None
 
     def __post_init__(self):
-        if self.algo not in ALGORITHMS:
-            raise ParameterError(
-                f"unknown algorithm {self.algo!r}; choose from {', '.join(ALGORITHMS)}"
-            )
+        scheme = scheme_of(self.algo)
         if not _is_a(self.iters, numbers.Integral):
             raise ParameterError(f"iters must be an integer, got {self.iters!r}")
         if not _is_a(self.step, numbers.Real):
@@ -102,7 +123,7 @@ class RunParams:
             raise ParameterError(f"step must be positive and finite, got {self.step}")
         if self.momentum_r is not None and not _is_finite(self.momentum_r):
             raise ParameterError(f"momentum parameter r must be finite, got {self.momentum_r}")
-        if self.algo in R_FAMILY_ALGOS:
+        if scheme.momentum == "r":
             if self.momentum_r is None:
                 raise ParameterError(f"{self.algo} requires the momentum parameter r")
             if self.momentum_r < 2.0:
@@ -157,7 +178,7 @@ class Trace:
             raise _layout_error("x", x, f"({n + 1}, d) with d >= 1")
         d = x.shape[1]
         shapes = {"x": (n + 1, d), "y": (n + 1, d), "v": (n + 1, d), "map": (n + 1, d),
-                  "f": (n + 1,), "z": (n if self.params.algo in MONOTONE_ALGOS else 0, d)}
+                  "f": (n + 1,), "z": (n if SCHEMES[self.params.algo].monotone else 0, d)}
         for name, shape in shapes.items():
             array = getattr(self, name)
             if not (isinstance(array, np.ndarray) and array.shape == shape):
@@ -188,18 +209,18 @@ def initial_state(x0) -> AlgoState:
     return AlgoState(k=0, x=x0, y=x0, v=np.zeros_like(x0))
 
 
-def _weights(algo: str, r: float | None, mu: float, s: float):
-    """The kernel's k -> (beta_k, gamma_k) for ``algo``; None marks an absent term."""
-    if algo == "gd":
+def _weights(scheme: Scheme, r: float | None, mu: float, s: float):
+    """The kernel's k -> (beta_k, gamma_k) for ``scheme``; None marks an absent term."""
+    if scheme.momentum == "none":
         return lambda k: (None, None)
-    if algo in ("nag-sc", "m-nag-sc"):
+    if scheme.momentum == "constant":
         mus = mu * s
         if not 0.0 < mus < 1.0:
             raise ParameterError(f"need 0 < mu*s < 1 for the constant momentum, got {mus}")
         beta = (1.0 - math.sqrt(mus)) / (1.0 + math.sqrt(mus))
-        gamma = 1.0 if algo in MONOTONE_ALGOS else None
+        gamma = 1.0 if scheme.monotone else None
         return lambda k: (beta, gamma)
-    if algo in MONOTONE_ALGOS:
+    if scheme.monotone:
         return lambda k: (k / (k + r + 1.0), (k + r) / (k + r + 1.0))
     return lambda k: (k / (k + r + 1.0), None)
 
@@ -250,16 +271,16 @@ def composite_for(problem: Problem, algo: str) -> CompositeObjective:
     or m-fista: other schemes raise InvalidProblemError.
     """
     work = as_composite(problem)
-    if work.l1_weight != 0.0 and algo not in COMPOSITE_ALGOS:
+    if work.l1_weight != 0.0 and not scheme_of(algo).composite:
         raise InvalidProblemError(f"{algo} handles smooth objectives only; use fista/m-fista")
     return work
 
 
-def _transition(algo: str, problem: CompositeObjective, s: float, r: float | None):
-    """(state, problem, s, fx) -> (next state, map at y_k, phi(x_{k+1})) for ``algo``."""
-    if algo == "nag-phase":
+def _transition(scheme: Scheme, problem: CompositeObjective, s: float, r: float | None):
+    """(state, problem, s, fx) -> (next state, map at y_k, phi(x_{k+1})) for ``scheme``."""
+    if scheme.phase:
         return partial(_phase_step, r=r)
-    return partial(_step, weights=_weights(algo, r, problem.smooth.mu, s))
+    return partial(_step, weights=_weights(scheme, r, problem.smooth.mu, s))
 
 
 def step(
@@ -275,8 +296,9 @@ def step(
     """
     RunParams(algo=algo, step=s, iters=1, momentum_r=r)
     work = composite_for(problem, algo)
-    fx = work.phi_value(state.x) if algo in MONOTONE_ALGOS else None
-    return _transition(algo, work, s, r)(state, work, s, fx)[0]
+    scheme = SCHEMES[algo]
+    fx = work.phi_value(state.x) if scheme.monotone else None
+    return _transition(scheme, work, s, r)(state, work, s, fx)[0]
 
 
 def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") -> Trace:
@@ -294,7 +316,8 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     if not np.all(np.isfinite(x0)):
         raise ParameterError("start point x0 must be finite")
     s = params.step
-    transition = _transition(params.algo, work, s, params.momentum_r)
+    scheme = SCHEMES[params.algo]
+    transition = _transition(scheme, work, s, params.momentum_r)
 
     state = initial_state(x0)
     # An overflow here is reported as the error below, not as a warning.
@@ -304,7 +327,7 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
     n = params.iters
     x, y, v, m = (np.empty((n + 1, work.dim)) for _ in range(4))
-    z = np.empty((n if params.algo in MONOTONE_ALGOS else 0, work.dim))
+    z = np.empty((n if scheme.monotone else 0, work.dim))
     f = np.empty(n + 1)
     for k in range(n):
         x[k], y[k], v[k], f[k] = state.x, state.y, state.v, fx

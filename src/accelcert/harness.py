@@ -25,8 +25,8 @@ import numpy as np
 
 from . import lyapunov
 from .algorithms import (
-    R_FAMILY_ALGOS,
     ALGORITHMS,
+    SCHEMES,
     RunParams,
     Trace,
     run,
@@ -156,8 +156,8 @@ def _config_from_mapping(payload: dict, *, default_r: bool = True) -> Experiment
         if key not in payload:
             raise UsageError(f"config is missing required key {key!r}")
     algo = payload["algo"]
-    if (default_r and isinstance(algo, str) and algo in R_FAMILY_ALGOS
-            and payload.get("momentum_r") is None):
+    if (default_r and isinstance(algo, str) and algo in SCHEMES
+            and SCHEMES[algo].momentum == "r" and payload.get("momentum_r") is None):
         payload = {**payload, "momentum_r": DEFAULT_R}
     return ExperimentConfig(**payload)
 
@@ -458,8 +458,9 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--problem", help="quad2d | quad-diag:<c1,c2,...> | lasso:<path>")
     p_run.add_argument("--algo", help="one of: " + ", ".join(ALGORITHMS))
     p_run.add_argument("--step", type=float, help="step size s, must satisfy 0 < s < 1/L")
+    needs_r = [algo for algo, row in SCHEMES.items() if row.momentum == "r"]
     p_run.add_argument("--r", type=float, dest="momentum_r",
-                       help="momentum parameter (r-family algorithms)")
+                       help="momentum parameter r >= 2, needed by " + ", ".join(needs_r))
     p_run.add_argument("--iters", type=int, help=f"iteration count (default {DEFAULT_ITERS})")
     p_run.add_argument("--x0", help="'ones' or comma-separated start point (default ones)")
     p_run.add_argument("--trace-out", dest="trace_path",

@@ -9,18 +9,16 @@ an immutable trace and can run concurrently across k and across traces.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .algorithms import MONOTONE_ALGOS, RunParams, Trace, composite_for
+from .algorithms import SCHEMES, RunParams, Trace, composite_for, scheme_of
 from .errors import ParameterError
-from .problems import OptimumInfo, Problem, Vector
+from .problems import OptimumInfo, Problem, Vector, _is_a
 from .proximal import require_step
-
-#: Algorithms covered by the rate and decrease certificates.
-CERTIFIABLE_ALGOS = frozenset({"nag", "nag-phase", "m-nag", "fista", "m-fista"})
 
 #: Energy forms ``energy`` and ``certify`` accept; "auto" resolves per scheme.
 ENERGY_FORMS = ("auto", "velocity", "xy")
@@ -79,12 +77,13 @@ class EnergyBreakdown:
 def resolve_form(algo: str, form: str = "auto") -> str:
     """The energy form ``form`` names for ``algo``: "auto" is "xy" for the
     monotone schemes and "velocity" for the others. Raises ParameterError
-    for an unknown form and for "velocity" on a monotone scheme."""
+    for an unknown scheme or form and for "velocity" on a monotone scheme."""
     if form not in ENERGY_FORMS:
         raise ParameterError(f"unknown energy form {form!r}")
+    monotone = scheme_of(algo).monotone
     if form == "auto":
-        return "xy" if algo in MONOTONE_ALGOS else "velocity"
-    if form == "velocity" and algo in MONOTONE_ALGOS:
+        return "xy" if monotone else "velocity"
+    if form == "velocity" and monotone:
         raise ParameterError(f"velocity-form energy undefined for {algo}; use form='xy'")
     return form
 
@@ -148,6 +147,8 @@ def threshold_K(r: float) -> int:
     The raw formula is generally fractional; taking the ceiling before the
     max only shrinks the certified range, the conservative direction.
     """
+    if not _is_a(r, numbers.Real):
+        raise ParameterError(f"momentum parameter r must be a real number, got {r!r}")
     if not r >= 2.0:
         raise ParameterError(f"momentum parameter r must be >= 2, got {r}")
     # Past about 4.5e307, 3r^2 and 4r are both inf and raw is inf - inf = NaN.
@@ -159,10 +160,10 @@ def threshold_K(r: float) -> int:
 
 def require_certifiable(params: RunParams, form: str = "auto") -> tuple[str, int]:
     """The certify rule that a run's settings alone decide, else ParameterError:
-    the scheme is in CERTIFIABLE_ALGOS, ``resolve_form`` accepts ``form`` for
+    the scheme is certifiable in SCHEMES, ``resolve_form`` accepts ``form`` for
     it, K(r) is finite, and iters >= max{1, K} + 1. Returns the form and K."""
-    if params.algo not in CERTIFIABLE_ALGOS:
-        certifiable = ", ".join(sorted(CERTIFIABLE_ALGOS))
+    if not SCHEMES[params.algo].certifiable:
+        certifiable = ", ".join(sorted(name for name, row in SCHEMES.items() if row.certifiable))
         raise ParameterError(f"no certificate for {params.algo!r}; certifiable: {certifiable}")
     form = resolve_form(params.algo, form)
     big_k = threshold_K(params.momentum_r)

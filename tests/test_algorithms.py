@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import accelcert as ac
-from accelcert.algorithms import AlgoState, initial_state
+from accelcert import algorithms
+from accelcert import lyapunov as ly
+from accelcert.algorithms import (
+    MONOTONE_ALGOS,
+    R_FAMILY_ALGOS,
+    SCHEMES,
+    AlgoState,
+    initial_state,
+)
 from accelcert.errors import InvalidProblemError, ParameterError, StepSizeError
 
 #: The six arrays a Trace stores.
@@ -234,6 +242,24 @@ def test_step_checks_its_parameters_as_run_params_does(quad2d, algo, s, r):
         ac.step(algo, initial_state([1.0, 1.0]), quad2d[0], s, r)
 
 
+def test_scheme_table_holds_the_facts_of_each_scheme():
+    def names(fact):
+        return {algo for algo, row in SCHEMES.items() if fact(row)}
+
+    assert ac.ALGORITHMS == (
+        "gd", "nag", "nag-phase", "m-nag", "fista", "m-fista", "nag-sc", "m-nag-sc"
+    )
+    r_family = {"nag", "nag-phase", "m-nag", "fista", "m-fista"}
+    assert names(lambda row: row.momentum == "r") == R_FAMILY_ALGOS == r_family
+    assert names(lambda row: row.momentum == "constant") == {"nag-sc", "m-nag-sc"}
+    assert names(lambda row: row.monotone) == MONOTONE_ALGOS == {"m-nag", "m-fista", "m-nag-sc"}
+    assert names(lambda row: row.composite) == {"fista", "m-fista"}
+    assert names(lambda row: row.certifiable) == r_family
+    assert names(lambda row: row.phase) == {"nag-phase"}
+    assert not hasattr(algorithms, "COMPOSITE_ALGOS")
+    assert not hasattr(ly, "CERTIFIABLE_ALGOS")
+
+
 def test_step_replaces_the_per_scheme_entries():
     assert not hasattr(ac, "step_nag")
     assert not hasattr(ac, "sample_sequence")
@@ -265,6 +291,8 @@ def test_run_params_validation():
         {"step": "0.1"},
         {"algo": "gd", "momentum_r": True},
         {"momentum_r": "2"},
+        {"algo": ["nag"]},
+        {"algo": None},
     ],
 )
 def test_run_params_rejects_values_of_the_wrong_type(fields):

@@ -7,10 +7,12 @@ import pytest
 
 import accelcert as ac
 from accelcert import lyapunov as ly
+from accelcert.algorithms import SCHEMES
 from accelcert.errors import ParameterError, StepSizeError
 
 
 S, R = 0.4, 2.0
+CERTIFIABLE = [algo for algo, row in SCHEMES.items() if row.certifiable]
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,8 @@ def test_energy_argument_errors(nag_trace, quad2d):
         ac.energy(nag_trace, 0, S, R, None, "xy")
     with pytest.raises(ParameterError):
         ac.energy(nag_trace, 0, S, R, quad2d[1], "kinetic")
+    with pytest.raises(ParameterError, match="unknown algorithm 'sgd'; choose from gd, nag,"):
+        ly.resolve_form("sgd")
 
 
 @pytest.mark.parametrize("r,expected", [(2.0, 0), (3.0, 1), (4.0, 3)])
@@ -150,6 +154,12 @@ def test_threshold_values(r, expected):
 def test_threshold_rejects_small_r():
     with pytest.raises(ParameterError):
         ac.threshold_K(1.9)
+
+
+@pytest.mark.parametrize("r", [None, "3", True])
+def test_threshold_rejects_an_r_that_is_not_a_real_number(r):
+    with pytest.raises(ParameterError, match="must be a real number"):
+        ac.threshold_K(r)
 
 
 # From about 4.5e307, 3r^2 and 4r are both inf, and 3r^2 - 4r - 12 is NaN.
@@ -322,7 +332,7 @@ def _per_k_case(name, quad2d, lasso5):
 
 @pytest.mark.parametrize(
     "name,algo",
-    [(name, algo) for name in ("quad2d", "diag50") for algo in sorted(ly.CERTIFIABLE_ALGOS)]
+    [(name, algo) for name in ("quad2d", "diag50") for algo in sorted(CERTIFIABLE)]
     + [("lasso5", "fista"), ("lasso5", "m-fista")],
 )
 def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, algo):

@@ -18,6 +18,7 @@ import pytest
 import accelcert as ac
 from accelcert import harness
 from accelcert import lyapunov as ly
+from accelcert.algorithms import SCHEMES
 from accelcert.harness import emit_trace
 
 
@@ -149,7 +150,7 @@ def test_render_matches_json_dumps_for_every_scheme(tmp_path, quad2d, lasso5, na
     params = ac.RunParams(algo=algo, step=step, iters=400, momentum_r=r)
     trace = ac.run(problem, params, x0, problem_id=name)
     certificate = None
-    if algo in ly.CERTIFIABLE_ALGOS:
+    if SCHEMES[algo].certifiable:
         certificate = ac.certify(trace, problem, optimum)
     _assert_same_as_reference(tmp_path, trace, optimum, certificate)
     if certificate is not None:
@@ -162,7 +163,7 @@ def test_csv_matches_csv_writer_for_every_scheme(tmp_path, quad2d, lasso5, name,
     x0 = [0.7, -1.3] if name == "quad2d" else [0.3, -0.2, 0.5, 1.0, -1.0]
     params = ac.RunParams(algo=algo, step=step, iters=400, momentum_r=r)
     trace = ac.run(problem, params, x0, problem_id=name)
-    if algo in ly.CERTIFIABLE_ALGOS:
+    if SCHEMES[algo].certifiable:
         _assert_csv_same_as_reference(tmp_path, trace, optimum, ac.certify(trace, problem, optimum))
     _assert_csv_same_as_reference(tmp_path, trace, optimum)
 
@@ -175,7 +176,7 @@ def test_csv_matches_csv_writer_across_dimensions(tmp_path, d, algo, r):
     x0 = np.linspace(-1.0, 1.0, d) if d > 1 else [-0.7]
     trace = ac.run(oracle, ac.RunParams(algo=algo, step=0.4, iters=300, momentum_r=r), x0)
     certificate = None
-    if algo in ly.CERTIFIABLE_ALGOS:
+    if SCHEMES[algo].certifiable:
         certificate = ac.certify(trace, oracle, optimum)
     _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate)
 

@@ -23,11 +23,13 @@ independent form that the two-point nag trajectory is checked against.
 ``SCHEMES`` is the one place a scheme's facts live: every rule that
 depends on a scheme reads its ``Scheme`` row.
 
-``step(algo, state, problem, s, r)`` is the one public single step; it
-checks its arguments as ``RunParams`` checks a run's and takes the same
-transition ``run`` does. Steps return a fresh state and never mutate their
-inputs; the runner is deterministic, so identical inputs give bit-identical
-traces.
+The kernels take and return plain arrays, (k, x_k, y_k, v_k, phi(x_k)) ->
+(x_{k+1}, y_{k+1}, v_{k+1}, z_k, map at y_k, phi(x_{k+1})), so ``run``
+writes its rows with no per-step state object. ``step(algo, state,
+problem, s, r)`` is the one public single step; it checks its arguments as
+``RunParams`` checks a run's, takes the same transition ``run`` does and
+wraps the result in a fresh ``AlgoState``. Steps never mutate their inputs;
+the runner is deterministic, so identical inputs give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -225,41 +227,41 @@ def _weights(scheme: Scheme, r: float | None, mu: float, s: float):
     return lambda k: (k / (k + r + 1.0), None)
 
 
-def _step(state, problem, s, fx=None, *, weights):
+def _step(k, x, y, v, fx, *, problem, s, rs, weights):
     """The kernel: y' = x' + beta_k (x' - x) + gamma_k (z - x').
 
     One proximal step from y_k gives the candidate z and the first-order map
     at y_k. Without gamma_k, x' = z; with it, z replaces x_k unless it
     increases phi (ties accept). Given fx = phi(x_k), also returns
     phi(x_{k+1}), which costs no evaluation beyond phi(z) on monotone
-    schemes. Returns (next state, map at y_k, phi(x_{k+1}) or None).
+    schemes. ``rs`` is sqrt(s), and v_k is not read. Returns (x_{k+1},
+    y_{k+1}, v_{k+1}, z or None, map at y_k, phi(x_{k+1}) or None).
     """
-    beta, gamma = weights(state.k)
-    z, m = prox_step(problem, state.y, s)
+    beta, gamma = weights(k)
+    z, m = prox_step(problem, y, s)
     if gamma is not None:
         fz = problem.phi_value(z)
-        x1, f1 = (z, fz) if fz <= fx else (state.x, fx)
+        x1, f1 = (z, fz) if fz <= fx else (x, fx)
     else:
         x1, z = z, None
         f1 = None if fx is None else problem.phi_value(x1)
+    dx = x1 - x
     # Without beta_k, y' is x' itself: x' + 0*(x' - x) would turn -0.0 into 0.0.
-    y1 = x1 if beta is None else x1 + beta * (x1 - state.x)
+    y1 = x1 if beta is None else x1 + beta * dx
     if gamma is not None:
         y1 = y1 + gamma * (z - x1)
-    v1 = (x1 - state.x) / math.sqrt(s)
-    return AlgoState(state.k + 1, x1, y1, v1, z=z), m, f1
+    return x1, y1, dx / rs, z, m, f1
 
 
-def _phase_step(state, problem, s, fx=None, *, r):
-    """Nesterov momentum in position-velocity form; same return as _step."""
-    k = state.k
-    g = problem.smooth.gradient(state.y)
-    rs = math.sqrt(s)
-    v1 = state.v - ((r + 1.0) / (k + r)) * state.v - rs * g
-    x1 = state.x + rs * v1
+def _phase_step(k, x, y, v, fx, *, problem, s, rs, r):
+    """Nesterov momentum in position-velocity form; same arguments and
+    return as _step, with no z."""
+    g = problem.smooth.gradient(y)
+    v1 = v - ((r + 1.0) / (k + r)) * v - rs * g
+    x1 = x + rs * v1
     y1 = x1 + (k / (k + 1.0 + r)) * rs * v1
     f1 = None if fx is None else problem.phi_value(x1)
-    return AlgoState(k + 1, x1, y1, v1), g, f1
+    return x1, y1, v1, None, g, f1
 
 
 def composite_for(problem: Problem, algo: str) -> CompositeObjective:
@@ -277,10 +279,11 @@ def composite_for(problem: Problem, algo: str) -> CompositeObjective:
 
 
 def _transition(scheme: Scheme, problem: CompositeObjective, s: float, r: float | None):
-    """(state, problem, s, fx) -> (next state, map at y_k, phi(x_{k+1})) for ``scheme``."""
+    """(k, x_k, y_k, v_k, phi(x_k) or None) -> _step's return, for ``scheme``."""
     if scheme.phase:
-        return partial(_phase_step, r=r)
-    return partial(_step, weights=_weights(scheme, r, problem.smooth.mu, s))
+        return partial(_phase_step, problem=problem, s=s, rs=math.sqrt(s), r=r)
+    return partial(_step, problem=problem, s=s, rs=math.sqrt(s),
+                   weights=_weights(scheme, r, problem.smooth.mu, s))
 
 
 def step(
@@ -298,7 +301,8 @@ def step(
     work = composite_for(problem, algo)
     scheme = SCHEMES[algo]
     fx = work.phi_value(state.x) if scheme.monotone else None
-    return _transition(scheme, work, s, r)(state, work, s, fx)[0]
+    x1, y1, v1, z, _, _ = _transition(scheme, work, s, r)(state.k, state.x, state.y, state.v, fx)
+    return AlgoState(state.k + 1, x1, y1, v1, z=z)
 
 
 def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") -> Trace:
@@ -320,9 +324,10 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     transition = _transition(scheme, work, s, params.momentum_r)
 
     state = initial_state(x0)
+    xk, yk, vk = state.x, state.y, state.v
     # An overflow here is reported as the error below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        fx = work.phi_value(state.x)
+        fx = work.phi_value(xk)
     if not math.isfinite(fx):
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
     n = params.iters
@@ -330,10 +335,10 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     z = np.empty((n if scheme.monotone else 0, work.dim))
     f = np.empty(n + 1)
     for k in range(n):
-        x[k], y[k], v[k], f[k] = state.x, state.y, state.v, fx
-        state, m[k], fx = transition(state, work, s, fx)
-        if state.z is not None:
-            z[k] = state.z
-    x[n], y[n], v[n], f[n] = state.x, state.y, state.v, fx
-    m[n] = prox_step(work, state.y, s)[1]
+        x[k], y[k], v[k], f[k] = xk, yk, vk, fx
+        xk, yk, vk, zk, m[k], fx = transition(k, xk, yk, vk, fx)
+        if zk is not None:
+            z[k] = zk
+    x[n], y[n], v[n], f[n] = xk, yk, vk, fx
+    m[n] = prox_step(work, yk, s)[1]
     return Trace(params=params, problem_id=problem_id, x=x, y=y, v=v, map=m, f=f, z=z)

@@ -24,6 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import lyapunov
+from ._floatrepr import reprs
 from .algorithms import (
     ALGORITHMS,
     SCHEMES,
@@ -222,9 +223,9 @@ def _violations(f: np.ndarray) -> list[int]:
 
 @np.errstate(over="ignore")  # a norm that overflows is written as inf
 def _grad_norm(trace: Trace) -> np.ndarray:
-    # np.linalg.norm of a vector is sqrt(m . m); one np.dot per row keeps
-    # its rounding, which a reduction over axis 1 does not.
-    return np.sqrt(list(map(np.dot, trace.map, trace.map)))
+    # np.linalg.norm of a vector is sqrt(m . m); row_dots keeps np.dot's
+    # rounding, which a reduction over axis 1 does not.
+    return np.sqrt(lyapunov.row_dots(trace.map))
 
 
 # Writes. Every file emit_trace writes is rendered one way: each distinct
@@ -234,26 +235,28 @@ def _grad_norm(trace: Trace) -> np.ndarray:
 # json.dumps spells floats, and give json.dumps's bytes over the per-record
 # dict trees (certificate_to_dict for a certificate). A CSV trace is spelled
 # as format(v, ".17g") with CRLF line ends, csv.writer's bytes since no field
-# needs quoting; its JSON certificate gets a table of its own.
+# needs quoting. It shares no table, so each chunk of its rows gets its own,
+# and its JSON certificate gets one too.
 
 #: Records (or certificate rows) rendered per write.
-RENDER_CHUNK = 1000
+RENDER_CHUNK = 500
 
-#: The float formatter json.dumps uses for finite values.
-_format_float = float.__repr__
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _FLAGS = np.array(["0", "1"], dtype=object)
 
 _CERT_ROW = '{"k": %s, "gap": %s, "bound": %s, "energy": %s, "decrease_margin": %s}'
 
 
+def _json_token(value: float) -> str:
+    """json.dumps's token of one float: its repr, or NaN, Infinity or -Infinity."""
+    token = float.__repr__(value)
+    return _NON_FINITE.get(token, token)
+
+
 def _json_spelling(values: np.ndarray) -> list[str]:
-    """json.dumps's tokens of floats: _format_float, and NaN, Infinity and
-    -Infinity for the non-finite ones."""
-    table = list(map(_format_float, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        table[i] = _NON_FINITE[table[i]]
-    return table
+    """json.dumps's tokens of floats: ``reprs`` spells the normal ones as repr
+    does, and _json_token the rest (zeros, subnormals, inf and NaN)."""
+    return reprs(values, _json_token)
 
 
 def _csv_spelling(values: np.ndarray) -> list[str]:
@@ -294,14 +297,20 @@ def _json_head(payload: dict, rows_key: str) -> str:
     return head[:-1] + f", {json.dumps(rows_key)}: ["
 
 
-def _write_rows(fh, head: str, template: str, tokens: np.ndarray, sep: str, tail: str) -> None:
-    """Write ``head``, each row of ``tokens`` filled into ``template`` with
-    rows joined by ``sep``, and ``tail``."""
+def _chunks(n_rows: int):
+    """The row slices of RENDER_CHUNK rows (the last one shorter) that cover n_rows."""
+    return (slice(start, start + RENDER_CHUNK) for start in range(0, n_rows, RENDER_CHUNK))
+
+
+def _write_rows(fh, head: str, template: str, matrices, sep: str, tail: str) -> None:
+    """Write ``head``, each row of each token matrix in ``matrices`` filled
+    into ``template`` with rows joined by ``sep``, and ``tail``."""
     fh.write(head)
-    for start in range(0, len(tokens), RENDER_CHUNK):
-        rows = tokens[start:start + RENDER_CHUNK]
-        text = sep.join([template] * len(rows)) % tuple(rows.ravel().tolist())
-        fh.write(sep + text if start else text)
+    for i, rows in enumerate(matrices):
+        if i:
+            fh.write(sep)
+        fh.write(sep.join([template] * len(rows)) % tuple(rows.ravel().tolist()))
+        del rows  # the next matrix is built without this one's tokens alive
     fh.write(tail)
 
 
@@ -319,7 +328,8 @@ def _write_certificate(fh, certificate, tokens=None) -> None:
     head = _json_head(
         {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
     )
-    _write_rows(fh, head, _CERT_ROW, matrix, ", ", "]}\n")
+    _write_rows(fh, head, _CERT_ROW, (matrix[rows] for rows in _chunks(len(matrix))), ", ",
+                "]}\n")
 
 
 def _record_template(d: int) -> str:
@@ -353,21 +363,19 @@ def emit_trace(
         raise UsageError("the certificate's rows do not match the trace's records")
     json_trace = fmt == "json"
     n_records, d = trace.x.shape
-    floats = [trace.f - optimum.f_star, _grad_norm(trace), trace.x, trace.y]
-    if json_trace:
-        floats += [trace.v, trace.z, trace.f, trace.map]
-    if certificate is not None:
-        floats += _certificate_floats(certificate)
-    tokens = _float_tokens(_json_spelling if json_trace else _csv_spelling, *floats)
-    f_gap, grad_norm, x, y = tokens[:4]
+    f_gap, grad_norm = trace.f - optimum.f_star, _grad_norm(trace)
+    ks, flags = _int_tokens(n_records), _FLAGS[_violations(trace.f)]
     missing = "null" if json_trace else ""
     energy = bound = np.full(n_records, missing, dtype=object)
-    if certificate is not None:
-        _, bound, energy, _ = lyapunov.row_layout(*tokens[-4:], missing)
-    ks, flags = _int_tokens(n_records), _FLAGS[_violations(trace.f)]
 
     if json_trace:
-        v, z, f, m = tokens[4:8]
+        floats = [f_gap, grad_norm, trace.x, trace.y, trace.v, trace.z, trace.f, trace.map]
+        if certificate is not None:
+            floats += _certificate_floats(certificate)
+        tokens = _float_tokens(_json_spelling, *floats)
+        if certificate is not None:
+            _, bound, energy, _ = lyapunov.row_layout(*tokens[8:], missing)
+        f_gap, grad_norm, x, y, v, z, f, m = tokens[:8]
         z_text = np.array(
             ["[" + ", ".join(row) + "]" for row in z.tolist()] + ["null"] * (n_records - len(z)),
             dtype=object,
@@ -375,20 +383,29 @@ def emit_trace(
         matrix = np.column_stack(
             [ks, x, y, v, z_text, f, m, f_gap, grad_norm, flags, energy, bound]
         )
+        matrices = (matrix[rows] for rows in _chunks(n_records))
         head = _json_head({"kind": "accelcert-trace", "problem_id": trace.problem_id,
                            "params": asdict(trace.params)}, "records")
         template, sep, tail = _record_template(d), ", ", "]}\n"
     else:
-        matrix = np.column_stack([ks, f_gap, grad_norm, x, y, flags, energy, bound])
+        if certificate is not None:
+            _, bound, energy, _ = lyapunov.row_layout(
+                *_float_tokens(_csv_spelling, *_certificate_floats(certificate)), missing)
+        matrices = (
+            np.column_stack([ks[rows], *_float_tokens(_csv_spelling, f_gap[rows], grad_norm[rows],
+                                                      trace.x[rows], trace.y[rows]),
+                             flags[rows], energy[rows], bound[rows]])
+            for rows in _chunks(n_records)
+        )
         names = ["k", "f_gap", "grad_norm", *(f"x{i}" for i in range(d)),
                  *(f"y{i}" for i in range(d)), "monotone_violation", "energy", "bound"]
         head = ",".join(names) + "\r\n"
         template, sep, tail = ",".join(["%s"] * len(names)), "\r\n", "\r\n"
     with open(path, "w", newline=None if json_trace else "") as fh:
-        _write_rows(fh, head, template, matrix, sep, tail)
+        _write_rows(fh, head, template, matrices, sep, tail)
     if certificate_path is not None:
         with open(certificate_path, "w") as fh:
-            _write_certificate(fh, certificate, tokens[-4:] if json_trace else None)
+            _write_certificate(fh, certificate, tokens[8:] if json_trace else None)
 
 
 def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:

@@ -122,12 +122,17 @@ def energy(
     return EnergyBreakdown(k=k, tau=tau(k, r), potential=pot, mixed=mixed)
 
 
+def row_dots(a: np.ndarray) -> np.ndarray:
+    """np.dot(row, row) of each row of a 2-d float array, bit for bit, as one
+    stacked matmul: a (1, d) @ (d, 1) product is the same dot as np.dot."""
+    return (a[:, None, :] @ a[:, :, None]).ravel()
+
+
 def _energies(trace: Trace, s: float, r: float, optimum: OptimumInfo, form: str) -> np.ndarray:
     """E(0..n-1) over a trace's arrays, bit-identical to ``energy().total``.
 
     The elementwise terms are built in energy()'s operation order; each
-    mixed term keeps its own np.dot, whose summation order is what energy()
-    rounds with.
+    mixed term is a ``row_dots`` entry, rounded as energy()'s np.dot.
     """
     n = trace.iters
     ks = np.arange(n, dtype=float)[:, None]
@@ -138,7 +143,7 @@ def _energies(trace: Trace, s: float, r: float, optimum: OptimumInfo, form: str)
     else:
         vecs = ks * (y - x) + r * (y - x_star) - (ks + r) * s * m
     potential = s * ((ks[:, 0] + 1.0) * (ks[:, 0] + r + 1.0)) * (trace.f[1:] - optimum.f_star)
-    return potential + 0.5 * np.array(list(map(np.dot, vecs, vecs)))
+    return potential + 0.5 * row_dots(vecs)
 
 
 def threshold_K(r: float) -> int:

@@ -297,18 +297,18 @@ def test_formatter_runs_once_per_distinct_bit_pattern(tmp_path, quad2d, monkeypa
     trace = ac.run(oracle, params, [-0.0, 1.0], problem_id="quad2d")
     certificate = ac.certify(trace, oracle, optimum)
     calls = []
-    fmt = harness._format_float
+    spell = harness.reprs
 
-    def counting(value):
-        calls.append(value)
-        return fmt(value)
+    def recording(values, special):
+        calls.append(values.copy())
+        return spell(values, special)
 
-    monkeypatch.setattr(harness, "_format_float", counting)
+    monkeypatch.setattr(harness, "reprs", recording)
     text, cert_text = _write(tmp_path, trace, optimum, certificate)
     # Every float of the records and rows; params.step is in the header,
     # which json.dumps writes.
     floats = [*_floats(json.loads(text)["records"]), *_floats(json.loads(cert_text)["rows"])]
-    called = [_bits(v) for v in calls]
+    called = [_bits(v) for v in np.concatenate(calls).tolist()]
     assert len(called) == len(set(called))
     assert set(called) == {_bits(v) for v in floats}
     # The trace and certificate repeat values: f_gap is f when f* = 0 and

@@ -202,9 +202,13 @@ def test_csv_spells_non_finite_values_as_csv_writer(tmp_path, quad2d):
     _assert_csv_same_as_reference(tmp_path, trace, optimum, certificate)
 
 
-@pytest.mark.parametrize(
-    "n_records", [2, harness.RENDER_CHUNK - 1, harness.RENDER_CHUNK, harness.RENDER_CHUNK + 1]
-)
+# Record counts on either side of the first and second chunk boundary.
+_CHUNK_EDGES = [2] + [
+    edge + offset for edge in (harness.RENDER_CHUNK, 2 * harness.RENDER_CHUNK) for offset in (-1, 0, 1)
+]
+
+
+@pytest.mark.parametrize("n_records", _CHUNK_EDGES)
 def test_csv_across_chunk_edges(tmp_path, quad2d, n_records):
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=n_records - 1, momentum_r=2.0)
@@ -265,9 +269,7 @@ def test_render_escapes_problem_id(tmp_path, quad2d):
     _assert_same_as_reference(tmp_path, trace, optimum, ac.certify(trace, oracle, optimum))
 
 
-@pytest.mark.parametrize(
-    "n_records", [2, harness.RENDER_CHUNK - 1, harness.RENDER_CHUNK, harness.RENDER_CHUNK + 1]
-)
+@pytest.mark.parametrize("n_records", _CHUNK_EDGES)
 def test_render_across_chunk_edges(tmp_path, quad2d, n_records):
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=n_records - 1, momentum_r=2.0)

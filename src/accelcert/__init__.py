@@ -39,7 +39,6 @@ from .problems import (
     resolve_problem,
 )
 from .proximal import (
-    ProxResult,
     prox_bruteforce,
     prox_eval,
     prox_subgradient,

@@ -195,7 +195,11 @@ class Trace:
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:
         """One TraceRecord per row, built on first use; its vectors are row
-        views of the arrays, and z is None on the records past ``len(z)``."""
+        views of the arrays, and z is None on the records past ``len(z)``.
+
+        A read-only view that the package itself never reads; its readers
+        are ``tests/test_acceptance.py``, the benchmark (``perfbench`` and
+        ``tests/test_bench_contract.py``) and outside callers."""
         zs = [*self.z] + [None] * (len(self.f) - len(self.z))
         return tuple(
             map(TraceRecord, range(len(self.f)), self.x, self.y, self.v, self.f.tolist(),
@@ -323,8 +327,8 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     scheme = SCHEMES[params.algo]
     transition = _transition(scheme, work, s, params.momentum_r)
 
-    state = initial_state(x0)
-    xk, yk, vk = state.x, state.y, state.v
+    xk = yk = x0
+    vk = np.zeros_like(x0)
     # An overflow here is reported as the error below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         fx = work.phi_value(xk)

@@ -31,30 +31,29 @@ ANALYTIC_TOLS = (1e-8, 1e-12)
 REFERENCE_TOLS = (1e-6, 1e-9)
 
 
-def _record(trace: Trace, k: int):
-    if not 0 <= k < len(trace.records):
-        raise IndexError(f"k={k} outside trace range 0..{len(trace.records) - 1}")
-    return trace.records[k]
+def _check_k(trace: Trace, *ks: int) -> None:
+    for k in ks:
+        if not 0 <= k <= trace.iters:
+            raise IndexError(f"k={k} outside trace range 0..{trace.iters}")
 
 
 def seq_R(trace: Trace, k: int, s: float, r: float) -> Vector:
     """Canonical position sequence (k-1)*sqrt(s)*v_k + r*x_k."""
-    rec = _record(trace, k)
-    return (k - 1.0) * math.sqrt(s) * rec.v + r * rec.x
+    _check_k(trace, k)
+    return (k - 1.0) * math.sqrt(s) * trace.v[k] + r * trace.x[k]
 
 
 def seq_S(trace: Trace, k: int, s: float, r: float) -> Vector:
     """Gradient-corrected sequence R_k - (k+r)*s*m_k, with m_k the stored
     first-order map at y_k."""
-    rec = _record(trace, k)
-    return seq_R(trace, k, s, r) - (k + r) * s * rec.first_order_at_y
+    return seq_R(trace, k, s, r) - (k + r) * s * trace.map[k]
 
 
 def seq_T(trace: Trace, k: int, s: float, r: float) -> Vector:
     """Velocity-free form (k+r)*y_k - k*x_k - (k+r)*s*m_k; identical to S_k
     whenever the position-velocity relation holds."""
-    rec = _record(trace, k)
-    return (k + r) * rec.y - k * rec.x - (k + r) * s * rec.first_order_at_y
+    _check_k(trace, k)
+    return (k + r) * trace.y[k] - k * trace.x[k] - (k + r) * s * trace.map[k]
 
 
 def tau(k: int, r: float) -> float:
@@ -109,15 +108,13 @@ def energy(
     if optimum is None:
         raise ParameterError("energy evaluation requires an optimum")
     form = resolve_form(trace.params.algo, form)
-    rec = _record(trace, k)
-    nxt = _record(trace, k + 1)
-    x_star = optimum.x_star
-    pot = s * tau(k, r) * (nxt.f_or_phi_at_x - optimum.f_star)
-    m = rec.first_order_at_y
+    _check_k(trace, k, k + 1)
+    x, y, m, x_star = trace.x[k], trace.y[k], trace.map[k], optimum.x_star
+    pot = s * tau(k, r) * (float(trace.f[k + 1]) - optimum.f_star)
     if form == "velocity":
-        vec = (k - 1.0) * math.sqrt(s) * rec.v + r * (rec.x - x_star) - s * (k + r) * m
+        vec = (k - 1.0) * math.sqrt(s) * trace.v[k] + r * (x - x_star) - s * (k + r) * m
     else:
-        vec = k * (rec.y - rec.x) + r * (rec.y - x_star) - (k + r) * s * m
+        vec = k * (y - x) + r * (y - x_star) - (k + r) * s * m
     mixed = 0.5 * float(np.dot(vec, vec))
     return EnergyBreakdown(k=k, tau=tau(k, r), potential=pot, mixed=mixed)
 

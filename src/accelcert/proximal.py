@@ -8,16 +8,14 @@ soft-threshold form; an independent grid-search oracle tests it.
 
 There is one proximal path: ``prox_step`` computes P(x) and G(x) from one
 gradient evaluation without checking its inputs, and the step kernel in
-``algorithms`` calls it directly. ``prox_eval`` is its validated wrapper,
-and ``prox_value`` and ``prox_subgradient`` read their values from it.
+``algorithms`` calls it directly. ``prox_eval`` is its checked entry and
+returns the same pair, and ``prox_value`` and ``prox_subgradient`` index it.
 
 Every public function here also takes a smooth oracle, which
 ``problems.as_composite`` gives l1 weight 0.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,15 +29,6 @@ def require_step(s: float, lipschitz: float) -> None:
         raise StepSizeError(
             f"step {s} outside (0, {1.0 / lipschitz}) for L={lipschitz}"
         )
-
-
-@dataclass(frozen=True)
-class ProxResult:
-    """Proximal value and subgradient computed from one gradient step."""
-
-    p_value: Vector
-    subgradient: Vector
-    step: float
 
 
 def soft_threshold(u, theta: float) -> Vector:
@@ -69,22 +58,22 @@ def prox_step(problem: CompositeObjective, x: Vector, s: float) -> tuple[Vector,
     return p, (x - p) / s
 
 
-def prox_eval(problem: Problem, x, s: float) -> ProxResult:
-    """Bundle P(x) and G(x) computed from a single gradient evaluation."""
+def prox_eval(problem: Problem, x, s: float) -> tuple[Vector, Vector]:
+    """``prox_step``'s (P(x), G(x)) pair, after checking the step against
+    (0, 1/L) and x against the problem's dimension."""
     problem = as_composite(problem)
     require_step(s, problem.smooth.lipschitz)
-    p, g = prox_step(problem, _as_vector(x, problem.dim), s)
-    return ProxResult(p_value=p, subgradient=g, step=s)
+    return prox_step(problem, _as_vector(x, problem.dim), s)
 
 
 def prox_value(problem: Problem, x, s: float) -> Vector:
     """Proximal value P(x) for an l1 weight of 0 or more (see prox_step)."""
-    return prox_eval(problem, x, s).p_value
+    return prox_eval(problem, x, s)[0]
 
 
 def prox_subgradient(problem: Problem, x, s: float) -> Vector:
     """Proximal subgradient G(x) = (x - P(x))/s, grad f(x) when g is zero."""
-    return prox_eval(problem, x, s).subgradient
+    return prox_eval(problem, x, s)[1]
 
 
 def prox_bruteforce(
@@ -140,8 +129,7 @@ def composite_fundamental_slack(problem: Problem, x, y, s: float) -> float:
     problem = as_composite(problem)
     x = _as_vector(x, problem.dim)
     y = _as_vector(y, problem.dim)
-    res = prox_eval(problem, y, s)
-    g = res.subgradient
+    g = prox_eval(problem, y, s)[1]
     lhs = problem.phi_value(y - s * g) - problem.phi_value(x)
     diff = y - x
     mu = problem.smooth.mu
@@ -158,7 +146,7 @@ def composite_key_slack(problem: Problem, y, s: float, phi_star: float) -> float
     """Slack of ||G(y)||^2 >= 2 mu (phi(y - s G(y)) - phi*)."""
     problem = as_composite(problem)
     y = _as_vector(y, problem.dim)
-    g = prox_eval(problem, y, s).subgradient
+    g = prox_eval(problem, y, s)[1]
     lhs = float(np.dot(g, g))
     rhs = 2.0 * problem.smooth.mu * (problem.phi_value(y - s * g) - phi_star)
     return _normalized(lhs, rhs)

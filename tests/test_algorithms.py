@@ -25,14 +25,10 @@ def quad1d():
     return ac.make_quadratic([1.0])[0]
 
 
-def records_equal(a, b):
-    return (
-        np.array_equal(a.x, b.x)
-        and np.array_equal(a.y, b.y)
-        and np.array_equal(a.v, b.v)
-        and a.f_or_phi_at_x == b.f_or_phi_at_x
-        and np.array_equal(a.first_order_at_y, b.first_order_at_y)
-    )
+def trajectories_equal(a, b):
+    """Two traces' x, y, v, f and map arrays are equal entry for entry."""
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("x", "y", "v", "f", "map"))
 
 
 # --- single-step transitions ------------------------------------------------
@@ -138,7 +134,7 @@ def test_fista_fixed_point_at_reference_optimum(identity_lasso):
     problem, optimum = identity_lasso
     params = ac.RunParams(algo="fista", step=0.5, iters=50, momentum_r=2.0)
     trace = ac.run(problem, params, optimum.x_star)
-    drift = max(np.linalg.norm(rec.x - optimum.x_star) for rec in trace.records)
+    drift = max(np.linalg.norm(x - optimum.x_star) for x in trace.x)
     assert drift <= 1e-10 * (1.0 + np.linalg.norm(optimum.x_star))
 
 
@@ -217,9 +213,9 @@ def test_step_from_the_start_is_record_one_of_run(quad2d, algo):
     trace = ac.run(problem, ac.RunParams(algo=algo, step=0.4, iters=1, momentum_r=2.0),
                    [0.7, -1.3])
     out = ac.step(algo, initial_state([0.7, -1.3]), problem, 0.4, 2.0)
-    rec0, rec1 = trace.records
+    z0 = trace.z[0] if len(trace.z) else None
     assert out.k == 1
-    for got, want in ((out.x, rec1.x), (out.y, rec1.y), (out.v, rec1.v), (out.z, rec0.z)):
+    for got, want in ((out.x, trace.x[1]), (out.y, trace.y[1]), (out.v, trace.v[1]), (out.z, z0)):
         assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
@@ -318,7 +314,7 @@ def test_run_problem_kind_mismatches(quad2d, identity_lasso):
     fista = ac.run(oracle, ac.RunParams(algo="fista", step=0.1, iters=5, momentum_r=2.0),
                    [1.0, 1.0])
     nag = ac.run(oracle, ac.RunParams(algo="nag", step=0.1, iters=5, momentum_r=2.0), [1.0, 1.0])
-    assert all(records_equal(ra, rb) for ra, rb in zip(fista.records, nag.records))
+    assert trajectories_equal(fista, nag)
     with pytest.raises(InvalidProblemError):
         ac.run(
             identity_lasso[0],
@@ -334,7 +330,7 @@ def test_run_unwraps_zero_composite(quad2d):
     params = ac.RunParams(algo="nag", step=0.4, iters=20, momentum_r=2.0)
     a = ac.run(ac.as_composite(oracle), params, [1.0, 1.0])
     b = ac.run(oracle, params, [1.0, 1.0])
-    assert all(records_equal(ra, rb) for ra, rb in zip(a.records, b.records))
+    assert trajectories_equal(a, b)
 
 
 # --- trace runner -----------------------------------------------------------
@@ -344,13 +340,12 @@ def test_trace_structure(quad2d):
     params = ac.RunParams(algo="m-nag", step=0.4, iters=30, momentum_r=2.0)
     trace = ac.run(oracle, params, [1.0, 1.0], problem_id="quad2d")
     assert trace.iters == 30
-    assert len(trace.records) == 31
-    assert np.array_equal(trace.records[0].x, [1.0, 1.0])
-    assert np.array_equal(trace.records[0].y, trace.records[0].x)
-    assert np.all(trace.records[0].v == 0.0)
-    assert [rec.k for rec in trace.records] == list(range(31))
-    assert all(rec.z is not None for rec in trace.records[:-1])
-    assert trace.records[-1].z is None
+    assert len(trace.f) == 31
+    assert np.array_equal(trace.x[0], [1.0, 1.0])
+    assert np.array_equal(trace.y[0], trace.x[0])
+    assert np.all(trace.v[0] == 0.0)
+    # A candidate z_k for each of records 0..29, none for the last.
+    assert len(trace.z) == 30
 
 
 def test_monotone_trace_never_increases(quad2d):
@@ -372,13 +367,8 @@ def test_stationary_start_produces_constant_trace(quad2d):
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=10, momentum_r=2.0)
     trace = ac.run(oracle, params, optimum.x_star)
-    first = trace.records[0]
-    assert all(
-        np.array_equal(rec.x, first.x)
-        and np.array_equal(rec.y, first.y)
-        and rec.f_or_phi_at_x == first.f_or_phi_at_x
-        for rec in trace.records
-    )
+    assert np.all(trace.x == trace.x[0]) and np.all(trace.y == trace.y[0])
+    assert np.all(trace.f == trace.f[0])
 
 
 def test_runs_are_deterministic(quad2d):
@@ -386,7 +376,7 @@ def test_runs_are_deterministic(quad2d):
     params = ac.RunParams(algo="nag", step=0.4, iters=100, momentum_r=2.0)
     a = ac.run(oracle, params, [1.0, 1.0])
     b = ac.run(oracle, params, [1.0, 1.0])
-    assert all(records_equal(ra, rb) for ra, rb in zip(a.records, b.records))
+    assert trajectories_equal(a, b)
 
 
 def test_phase_trace_satisfies_position_velocity_relation(quad2d):
@@ -394,10 +384,9 @@ def test_phase_trace_satisfies_position_velocity_relation(quad2d):
     s, r = 0.4, 2.0
     params = ac.RunParams(algo="nag-phase", step=s, iters=100, momentum_r=r)
     trace = ac.run(oracle, params, [1.0, 1.0])
-    for rec in trace.records:
-        k = rec.k
-        expected = rec.x + ((k - 1.0) / (k + r)) * math.sqrt(s) * rec.v
-        assert np.linalg.norm(rec.y - expected) <= 1e-12 * (1.0 + np.linalg.norm(rec.y))
+    for k, (x, y, v) in enumerate(zip(trace.x, trace.y, trace.v)):
+        expected = x + ((k - 1.0) / (k + r)) * math.sqrt(s) * v
+        assert np.linalg.norm(y - expected) <= 1e-12 * (1.0 + np.linalg.norm(y))
 
 
 def test_composite_collapse_over_full_trace(quad2d):
@@ -437,7 +426,7 @@ def test_fast_methods_converge_on_quad2d(quad2d):
     for algo in ("nag", "m-nag"):
         params = ac.RunParams(algo=algo, step=0.4, iters=200, momentum_r=2.0)
         trace = ac.run(oracle, params, [1.0, 1.0])
-        assert trace.records[200].f_or_phi_at_x - optimum.f_star < 1e-6
+        assert trace.f[200] - optimum.f_star < 1e-6
 
 
 def test_trace_columns_stack_records_read_only(quad2d):
@@ -448,10 +437,12 @@ def test_trace_columns_stack_records_read_only(quad2d):
     assert {f.name for f in dataclasses.fields(trace)} == {"params", "problem_id", *TRACE_ARRAYS}
     assert trace.f.shape == (31,) and trace.z.shape == (30, 2)
     for k, rec in enumerate(trace.records):
+        assert rec.k == k
         assert np.array_equal(trace.x[k], rec.x) and np.array_equal(trace.y[k], rec.y)
         assert np.array_equal(trace.v[k], rec.v)
         assert np.array_equal(trace.map[k], rec.first_order_at_y)
         assert trace.f[k] == rec.f_or_phi_at_x
+        assert np.array_equal(trace.z[k], rec.z) if k < 30 else rec.z is None
     for name in TRACE_ARRAYS:
         with pytest.raises(ValueError):
             getattr(trace, name)[0] = 0.0
@@ -523,4 +514,4 @@ def test_monotone_run_evaluates_f_once_per_step(quad2d, algo):
     trace = ac.run(counted, params, [1.0, 1.0])
     assert len(calls) == params.iters + 1
     plain = ac.run(oracle, params, [1.0, 1.0])
-    assert all(records_equal(ra, rb) for ra, rb in zip(trace.records, plain.records))
+    assert trajectories_equal(trace, plain)

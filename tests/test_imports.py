@@ -3,9 +3,9 @@
 A name imported at the top of a module in ``src/accelcert`` (except the
 re-exporting ``__init__.py``) or ``tests`` must be referenced by name
 somewhere in that module, and a module-level private name (``_name``,
-defined by a def, class or assignment) in ``src/accelcert`` must be
-referenced somewhere in the package, so code a change deletes leaves no
-import or helper behind.
+defined by a def, class or assignment, tuple, list and starred targets
+included) in ``src/accelcert`` must be referenced somewhere in the
+package, so code a change deletes leaves no import or helper behind.
 """
 
 import ast
@@ -45,6 +45,18 @@ def test_no_unused_module_level_imports():
     assert unused == []
 
 
+def target_names(target: ast.expr) -> list[str]:
+    """The names an assignment target binds, through tuple, list and starred
+    targets; attribute and subscript targets bind none."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for elt in target.elts for name in target_names(elt)]
+    if isinstance(target, ast.Starred):
+        return target_names(target.value)
+    return []
+
+
 def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
     """(module, line, name) of each module-level private def, class or
     assignment in ``sources`` (module -> source) that no module references."""
@@ -64,9 +76,9 @@ def dead_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                names = [node.target.id]
+                names = [name for t in node.targets for name in target_names(t)]
+            elif isinstance(node, ast.AnnAssign):
+                names = target_names(node.target)
             else:
                 continue
             dead += [(module, node.lineno, name) for name in names
@@ -78,8 +90,12 @@ def test_checker_flags_a_dead_private_name():
     sources = {
         "a": "_LIVE = 1\n_DEAD = 2\n\ndef _helper():\n    return _LIVE\n",
         "b": "from a import _helper\n\nclass _Orphan:\n    pass\n",
+        "c": "_A, _B = 1, 2\nprint(_A)\n_C = 3\n",
+        "d": "[_D, *_E] = 1, 2\nprint(_D)\n",
     }
-    assert dead_private_names(sources) == [("a", 2, "_DEAD"), ("b", 3, "_Orphan")]
+    assert dead_private_names(sources) == [
+        ("a", 2, "_DEAD"), ("b", 3, "_Orphan"), ("c", 1, "_B"), ("c", 3, "_C"), ("d", 1, "_E"),
+    ]
 
 
 def test_no_dead_private_names_in_the_package():

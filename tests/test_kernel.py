@@ -136,12 +136,12 @@ def test_run_matches_reference_formulas_bitwise(quad2d, lasso5, name, algo):
     r_param = None if algo in NO_R else r
     trace = ac.run(problem, ac.RunParams(algo=algo, step=s, iters=200, momentum_r=r_param), x0)
     want = reference_run(algo, problem, s, r, x0, 200)
-    assert len(trace.records) == len(want)
-    for rec, (x, y, v, z, m, f) in zip(trace.records, want):
-        for field, got, ref in (("x", rec.x, x), ("y", rec.y, y), ("v", rec.v, v),
-                                ("z", rec.z, z), ("map", rec.first_order_at_y, m),
-                                ("f", rec.f_or_phi_at_x, f)):
-            assert_same_bits(got, ref, f"record {rec.k} {field}")
+    assert len(trace.f) == len(want)
+    for k, (x, y, v, z, m, f) in enumerate(want):
+        z_k = trace.z[k] if k < len(trace.z) else None
+        for field, got, ref in (("x", trace.x[k], x), ("y", trace.y[k], y), ("v", trace.v[k], v),
+                                ("z", z_k, z), ("map", trace.map[k], m), ("f", trace.f[k], f)):
+            assert_same_bits(got, ref, f"record {k} {field}")
 
 
 def _assert_step_matches(algo, state, problem, s, r):
@@ -199,4 +199,4 @@ def test_zero_regularizer_keeps_negative_zero_f():
     for algo in ("nag", "m-nag"):
         trace = ac.run(oracle, ac.RunParams(algo=algo, step=0.4, iters=3, momentum_r=2.0),
                        [0.0, 0.0])
-        assert [bits(rec.f_or_phi_at_x) for rec in trace.records] == [bits(-0.0)] * 4
+        assert [bits(f) for f in trace.f] == [bits(-0.0)] * 4

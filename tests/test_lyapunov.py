@@ -62,7 +62,7 @@ def test_sequences_on_stationary_trace(stationary_trace):
 
 
 def test_s_equals_t_along_nag_trace(nag_trace):
-    for k in range(len(nag_trace.records)):
+    for k in range(len(nag_trace.f)):
         s_vec = ac.seq_S(nag_trace, k, S, R)
         t_vec = ac.seq_T(nag_trace, k, S, R)
         assert np.linalg.norm(s_vec - t_vec) <= 1e-10 * (1.0 + np.linalg.norm(s_vec))
@@ -72,16 +72,35 @@ def test_mnag_t_matches_s_with_relation_velocity(mnag_trace):
     # On a monotone trace the stored v does not satisfy the position-velocity
     # relation, but substituting the velocity that does reproduces T_k.
     k = 5
-    rec = mnag_trace.records[k]
-    v_hat = (rec.y - rec.x) * (k + R) / ((k - 1.0) * math.sqrt(S))
-    s_vec = (k - 1.0) * math.sqrt(S) * v_hat + R * rec.x - (k + R) * S * rec.first_order_at_y
+    x, y, m = mnag_trace.x[k], mnag_trace.y[k], mnag_trace.map[k]
+    v_hat = (y - x) * (k + R) / ((k - 1.0) * math.sqrt(S))
+    s_vec = (k - 1.0) * math.sqrt(S) * v_hat + R * x - (k + R) * S * m
     t_vec = ac.seq_T(mnag_trace, k, S, R)
     assert np.linalg.norm(s_vec - t_vec) <= 1e-10 * (1.0 + np.linalg.norm(t_vec))
 
 
 def test_sequence_range_check(nag_trace):
     with pytest.raises(IndexError):
-        ac.seq_R(nag_trace, len(nag_trace.records), S, R)
+        ac.seq_R(nag_trace, len(nag_trace.f), S, R)
+
+
+def test_per_k_reads_leave_trace_records_unbuilt(quad2d):
+    oracle, optimum = quad2d
+    params = ac.RunParams(algo="nag", step=S, iters=20, momentum_r=R)
+    trace = ac.run(oracle, params, [1.0, 1.0])
+    for k in (0, 7, 20):
+        ac.seq_R(trace, k, S, R)
+        ac.seq_T(trace, k, S, R)
+    ac.energy(trace, 19, S, R, optimum, "auto")
+    ac.certify(trace, oracle, optimum)
+    assert "records" not in vars(trace)
+    for k in (-1, 21):
+        for seq in (ac.seq_R, ac.seq_S, ac.seq_T):
+            with pytest.raises(IndexError, match=f"k={k} outside trace range 0..20"):
+                seq(trace, k, S, R)
+    for k, bad in ((-1, -1), (20, 21), (21, 21)):
+        with pytest.raises(IndexError, match=f"k={bad} outside trace range 0..20"):
+            ac.energy(trace, k, S, R, optimum, "auto")
 
 
 def test_energy_hand_values_at_zero(nag_trace, quad2d):
@@ -98,7 +117,7 @@ def test_energy_zero_on_stationary_trace(stationary_trace, quad2d):
 
 
 def test_energy_forms_agree_on_nag(nag_trace, quad2d):
-    for k in range(len(nag_trace.records) - 1):
+    for k in range(len(nag_trace.f) - 1):
         velocity = ac.energy(nag_trace, k, S, R, quad2d[1], "velocity").total
         xy = ac.energy(nag_trace, k, S, R, quad2d[1], "xy").total
         assert abs(velocity - xy) <= 1e-10 * (1.0 + abs(velocity))
@@ -106,7 +125,7 @@ def test_energy_forms_agree_on_nag(nag_trace, quad2d):
 
 def test_energy_nonnegative_on_analytic_traces(nag_trace, mnag_trace, quad2d):
     for trace, form in ((nag_trace, "velocity"), (mnag_trace, "xy")):
-        for k in range(len(trace.records) - 1):
+        for k in range(len(trace.f) - 1):
             assert ac.energy(trace, k, S, R, quad2d[1], form).total >= -1e-12
 
 
@@ -125,7 +144,7 @@ def test_energy_nearly_nonnegative_with_reference_optimum(lasso5):
 def test_energy_auto_form_is_the_resolved_form(nag_trace, mnag_trace, quad2d):
     for trace in (nag_trace, mnag_trace):
         form = ly.resolve_form(trace.params.algo)
-        for k in range(len(trace.records) - 1):
+        for k in range(len(trace.f) - 1):
             auto = ac.energy(trace, k, S, R, quad2d[1], "auto")
             assert auto == ac.energy(trace, k, S, R, quad2d[1], form)
 
@@ -137,7 +156,7 @@ def test_energy_velocity_form_rejected_for_monotone(mnag_trace, quad2d):
 
 def test_energy_argument_errors(nag_trace, quad2d):
     with pytest.raises(IndexError):
-        ac.energy(nag_trace, len(nag_trace.records) - 1, S, R, quad2d[1], "xy")
+        ac.energy(nag_trace, len(nag_trace.f) - 1, S, R, quad2d[1], "xy")
     with pytest.raises(ParameterError):
         ac.energy(nag_trace, 0, S, R, None, "xy")
     with pytest.raises(ParameterError):
@@ -171,8 +190,8 @@ def test_threshold_rejects_r_without_a_finite_K(r):
 
 def test_theorem_bound_hand_value(nag_trace, quad2d):
     oracle, optimum = quad2d
-    x1 = nag_trace.records[1].x
-    f1_gap = nag_trace.records[1].f_or_phi_at_x
+    x1 = nag_trace.x[1]
+    f1_gap = float(nag_trace.f[1])
     dist_sq = float(np.dot(x1, x1))
     # Independent arithmetic: numerator 3*0.04496008 + 8*1.032016,
     # denominator 1*3*(1 + 0.2*0.004/4) at k = 1.
@@ -244,7 +263,7 @@ def test_certify_passes_on_nag(nag_trace, quad2d):
     assert cert.threshold_K == 0
     assert cert.overall_pass
     assert ly.first_failing_k(cert) is None
-    assert len(cert.rows) == len(nag_trace.records)
+    assert len(cert.rows) == len(nag_trace.f)
 
 
 def test_certify_passes_on_mnag_xy_form(mnag_trace, quad2d):
@@ -344,14 +363,14 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
     cert = ac.certify(trace, problem, optimum)
     oracle = ac.problems.smooth_part(problem)
     form = ly.resolve_form(algo)
-    f1_gap = trace.records[1].f_or_phi_at_x - optimum.f_star
-    diff1 = trace.records[1].x - optimum.x_star
+    f1_gap = float(trace.f[1]) - optimum.f_star
+    diff1 = trace.x[1] - optimum.x_star
     dist_sq = float(np.dot(diff1, diff1))
     shrink = ly.rate_factor(oracle.mu, s, oracle.lipschitz)
     energies = [ly.energy(trace, k, s, r, optimum, form).total for k in range(300)]
     for k, row in enumerate(cert.rows):
         assert row.k == k
-        assert row.f_gap == trace.records[k].f_or_phi_at_x - optimum.f_star
+        assert row.f_gap == float(trace.f[k]) - optimum.f_star
         if k < 300:
             assert row.energy == energies[k]
         else:
@@ -370,8 +389,8 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
     path = tmp_path / "t.json"
     emit_trace(trace, "json", str(path), optimum=optimum, certificate=cert)
     stored = json.loads(path.read_text())["records"]
-    for rec, out in zip(trace.records, stored):
-        assert out["grad_norm"] == float(np.linalg.norm(rec.first_order_at_y))
+    for m, out in zip(trace.map, stored):
+        assert out["grad_norm"] == float(np.linalg.norm(m))
 
 
 

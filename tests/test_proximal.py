@@ -3,7 +3,7 @@ import pytest
 
 import accelcert as ac
 from accelcert.errors import ParameterError, StepSizeError
-from accelcert.proximal import composite_fundamental_slack, composite_key_slack
+from accelcert.proximal import composite_fundamental_slack, composite_key_slack, prox_step
 
 
 def zero_quad(coeffs):
@@ -87,15 +87,20 @@ def test_prox_subgradient_vanishes_at_reference_optimum(identity_lasso):
 
 
 def test_prox_eval_l1_bit_identity():
-    problem = one_d_lasso(1.5, 0.8)
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        x = rng.uniform(-4.0, 4.0, 1)
-        s = float(rng.uniform(0.05, 0.95))
-        res = ac.prox_eval(problem, x, s)
-        assert np.array_equal(res.subgradient, (x - res.p_value) / s)
-        assert np.array_equal(res.p_value, ac.prox_value(problem, x, s))
-        assert res.step == s
+    for weight in (0.0, 0.8):
+        problem = one_d_lasso(1.5, weight)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            x = rng.uniform(-4.0, 4.0, 1)
+            s = float(rng.uniform(0.05, 0.95))
+            p, g = ac.prox_eval(problem, x, s)
+            # The checked entry returns the kernel's pair, bit for bit.
+            want_p, want_g = prox_step(ac.as_composite(problem), x, s)
+            assert p.tobytes() == want_p.tobytes() and g.tobytes() == want_g.tobytes()
+            assert ac.prox_value(problem, x, s).tobytes() == p.tobytes()
+            assert ac.prox_subgradient(problem, x, s).tobytes() == g.tobytes()
+            if weight > 0.0:
+                assert np.array_equal(g, (x - p) / s)
 
 
 def test_bruteforce_matches_soft_threshold_example():

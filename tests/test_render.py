@@ -28,7 +28,8 @@ def reference_trace(trace, optimum, certificate=None) -> str:
     if certificate is not None:
         energies = {row.k: row.energy for row in certificate.rows}
         bounds = {row.k: row.bound for row in certificate.rows}
-    records = trace.records
+    f = trace.f.tolist()
+    zs = trace.z.tolist() + [None] * (len(f) - len(trace.z))
     payload = {
         "kind": "accelcert-trace",
         "problem_id": trace.problem_id,
@@ -40,22 +41,20 @@ def reference_trace(trace, optimum, certificate=None) -> str:
         },
         "records": [
             {
-                "k": rec.k,
-                "x": rec.x.tolist(),
-                "y": rec.y.tolist(),
-                "v": rec.v.tolist(),
-                "z": None if rec.z is None else rec.z.tolist(),
-                "f": float(rec.f_or_phi_at_x),
-                "map": rec.first_order_at_y.tolist(),
-                "f_gap": float(rec.f_or_phi_at_x) - optimum.f_star,
-                "grad_norm": float(np.linalg.norm(rec.first_order_at_y)),
-                "monotone_violation": int(
-                    k > 0 and rec.f_or_phi_at_x > records[k - 1].f_or_phi_at_x
-                ),
-                "energy": energies.get(rec.k),
-                "bound": bounds.get(rec.k),
+                "k": k,
+                "x": x.tolist(),
+                "y": y.tolist(),
+                "v": v.tolist(),
+                "z": z,
+                "f": f[k],
+                "map": m.tolist(),
+                "f_gap": f[k] - optimum.f_star,
+                "grad_norm": float(np.linalg.norm(m)),
+                "monotone_violation": int(k > 0 and f[k] > f[k - 1]),
+                "energy": energies.get(k),
+                "bound": bounds.get(k),
             }
-            for k, rec in enumerate(records)
+            for k, (x, y, v, m, z) in enumerate(zip(trace.x, trace.y, trace.v, trace.map, zs))
         ],
     }
     return json.dumps(payload, check_circular=False) + "\n"
@@ -72,19 +71,19 @@ def reference_csv(trace, optimum, certificate=None) -> str:
 
     d = trace.x.shape[1]
     rows = [None] * len(trace.f) if certificate is None else certificate.rows
-    records = trace.records
+    f = trace.f.tolist()
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["k", "f_gap", "grad_norm", *(f"x{i}" for i in range(d)),
                      *(f"y{i}" for i in range(d)), "monotone_violation", "energy", "bound"])
-    for k, (rec, row) in enumerate(zip(records, rows)):
+    for k, (x, y, m, row) in enumerate(zip(trace.x, trace.y, trace.map, rows)):
         writer.writerow([
-            rec.k,
-            fmt(float(rec.f_or_phi_at_x) - optimum.f_star),
-            fmt(float(np.linalg.norm(rec.first_order_at_y))),
-            *map(fmt, rec.x.tolist()),
-            *map(fmt, rec.y.tolist()),
-            int(k > 0 and rec.f_or_phi_at_x > records[k - 1].f_or_phi_at_x),
+            k,
+            fmt(f[k] - optimum.f_star),
+            fmt(float(np.linalg.norm(m))),
+            *map(fmt, x.tolist()),
+            *map(fmt, y.tolist()),
+            int(k > 0 and f[k] > f[k - 1]),
             fmt(None if row is None else row.energy),
             fmt(None if row is None else row.bound),
         ])

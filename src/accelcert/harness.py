@@ -15,6 +15,7 @@ here is deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import numbers
 import os
@@ -228,15 +229,19 @@ def _grad_norm(trace: Trace) -> np.ndarray:
     return np.sqrt(lyapunov.row_dots(trace.map))
 
 
-# Writes. Every file emit_trace writes is rendered one way: each distinct
-# float64 bit pattern among its floats is spelled once into a table of
-# tokens, and the token matrix is filled into a % row template RENDER_CHUNK
-# rows at a time. A JSON trace and its certificate share a table spelled as
-# json.dumps spells floats, and give json.dumps's bytes over the per-record
-# dict trees (certificate_to_dict for a certificate). A CSV trace is spelled
-# as format(v, ".17g") with CRLF line ends, csv.writer's bytes since no field
-# needs quoting. It shares no table, so each chunk of its rows gets its own,
-# and its JSON certificate gets one too.
+# Writes. Every file emit_trace writes is rendered one way: its rows are
+# built RENDER_CHUNK at a time, each distinct float64 bit pattern among a
+# chunk's floats is spelled once into a table of tokens, and the token
+# matrix is filled into a % row template. A certificate's four columns are
+# spelled once into a table of their own, which the certificate file is
+# written from and a JSON trace's chunks look their floats up in first, so
+# the tokens alive at a time are one chunk's plus the certificate's O(n).
+# JSON floats are spelled as json.dumps spells them, and the files give
+# json.dumps's bytes over the per-record dict trees (certificate_to_dict for
+# a certificate). A CSV trace is spelled as format(v, ".17g") with CRLF line
+# ends, csv.writer's bytes since no field needs quoting; it writes only the
+# certificate's energy and bound, and its JSON certificate is spelled after
+# the trace is written.
 
 #: Records (or certificate rows) rendered per write.
 RENDER_CHUNK = 500
@@ -264,25 +269,35 @@ def _csv_spelling(values: np.ndarray) -> list[str]:
     return [format(v, ".17g") for v in values.tolist()]
 
 
-def _float_tokens(spelling, *columns) -> list[np.ndarray]:
-    """Tokens of float arrays, as object arrays of the same shapes.
+def _float_tokens(spelling, *columns, table=None):
+    """Tokens of float arrays, as object arrays of the same shapes, and their
+    table: the sorted distinct int64 bit patterns of all the columns and the
+    patterns' tokens.
 
     ``spelling`` maps an array of floats to their tokens. It runs once over
-    the distinct bit patterns of all the columns, so -0.0 and 0.0 keep
-    their own tokens.
+    the distinct patterns that ``table``, a table of an earlier call, does
+    not hold, so -0.0 and 0.0 keep their own tokens.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
     bits = np.concatenate([a.ravel() for a in arrays]).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    table = np.array(spelling(distinct.view(np.float64)), dtype=object)
-    tokens = table[inverse.ravel()]
-    ends = np.cumsum([a.size for a in arrays])
-    return [part.reshape(a.shape) for part, a in zip(np.split(tokens, ends[:-1]), arrays)]
+    tokens = np.empty(len(distinct), dtype=object)
+    new = np.ones(len(distinct), dtype=bool)
+    if table is not None:
+        at = np.searchsorted(table[0], distinct).clip(max=len(table[0]) - 1)
+        new = table[0][at] != distinct
+        tokens[~new] = table[1][at[~new]]
+    tokens[new] = spelling(distinct[new].view(np.float64))
+    parts = np.split(tokens[inverse.ravel()], np.cumsum([a.size for a in arrays])[:-1])
+    return [part.reshape(a.shape) for part, a in zip(parts, arrays)], (distinct, tokens)
 
 
-def _certificate_floats(certificate) -> list[np.ndarray]:
-    return [certificate.f_gap, certificate.bound, certificate.energy,
-            certificate.decrease_margin]
+def _certificate_tokens(certificate):
+    """The JSON tokens of a certificate's gap, bound, energy and decrease
+    margin laid out on its rows by lyapunov.row_layout, and their table."""
+    tokens, table = _float_tokens(_json_spelling, certificate.f_gap, certificate.bound,
+                                  certificate.energy, certificate.decrease_margin)
+    return lyapunov.row_layout(*tokens, "null"), table
 
 
 def _int_tokens(n: int) -> np.ndarray:
@@ -314,17 +329,10 @@ def _write_rows(fh, head: str, template: str, matrices, sep: str, tail: str) -> 
     fh.write(tail)
 
 
-def _write_certificate(fh, certificate, tokens=None) -> None:
-    """Write json.dumps(certificate_to_dict(certificate)) and a newline.
-
-    ``tokens`` are the tokens of the certificate's float arrays from a table
-    shared with the trace; without them the certificate gets a table of its
-    own.
-    """
-    if tokens is None:
-        tokens = _float_tokens(_json_spelling, *_certificate_floats(certificate))
-    matrix = np.column_stack([_int_tokens(len(certificate.f_gap)),
-                              *lyapunov.row_layout(*tokens, "null")])
+def _write_certificate(fh, certificate, columns) -> None:
+    """Write json.dumps(certificate_to_dict(certificate)) and a newline, its
+    floats as ``columns``, the token columns _certificate_tokens lays out."""
+    matrix = np.column_stack([_int_tokens(len(certificate.f_gap)), *columns])
     head = _json_head(
         {"K": certificate.threshold_K, "pass": certificate.overall_pass}, "rows"
     )
@@ -352,8 +360,8 @@ def emit_trace(
     fields and adds the full per-iteration state, with floats written as
     their repr so reloading is bit-faithful; each record's z is the vector
     z_k on the records ``trace.z`` holds, null on the rest. The certificate
-    is JSON in both cases; with a JSON trace the two share one table of
-    float tokens.
+    is JSON in both cases; a JSON trace takes the tokens of the floats it
+    shares with the certificate from the certificate's table.
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
@@ -365,47 +373,40 @@ def emit_trace(
     n_records, d = trace.x.shape
     f_gap, grad_norm = trace.f - optimum.f_star, _grad_norm(trace)
     ks, flags = _int_tokens(n_records), _FLAGS[_violations(trace.f)]
-    missing = "null" if json_trace else ""
-    energy = bound = np.full(n_records, missing, dtype=object)
+    energy = bound = np.full(n_records, "null" if json_trace else "", dtype=object)
+    columns = table = None
 
     if json_trace:
-        floats = [f_gap, grad_norm, trace.x, trace.y, trace.v, trace.z, trace.f, trace.map]
+        spelling = _json_spelling
+        floats = [trace.x, trace.y, trace.v, trace.z, trace.f, trace.map, f_gap, grad_norm]
         if certificate is not None:
-            floats += _certificate_floats(certificate)
-        tokens = _float_tokens(_json_spelling, *floats)
-        if certificate is not None:
-            _, bound, energy, _ = lyapunov.row_layout(*tokens[8:], missing)
-        f_gap, grad_norm, x, y, v, z, f, m = tokens[:8]
-        z_text = np.array(
-            ["[" + ", ".join(row) + "]" for row in z.tolist()] + ["null"] * (n_records - len(z)),
-            dtype=object,
-        )
-        matrix = np.column_stack(
-            [ks, x, y, v, z_text, f, m, f_gap, grad_norm, flags, energy, bound]
-        )
-        matrices = (matrix[rows] for rows in _chunks(n_records))
+            columns, table = _certificate_tokens(certificate)
+            _, bound, energy, _ = columns
         head = _json_head({"kind": "accelcert-trace", "problem_id": trace.problem_id,
                            "params": asdict(trace.params)}, "records")
         template, sep, tail = _record_template(d), ", ", "]}\n"
     else:
-        if certificate is not None:
+        spelling, floats = _csv_spelling, [f_gap, grad_norm, trace.x, trace.y]
+        if certificate is not None:  # gap and decrease margin are not written
             _, bound, energy, _ = lyapunov.row_layout(
-                *_float_tokens(_csv_spelling, *_certificate_floats(certificate)), missing)
-        matrices = (
-            np.column_stack([ks[rows], *_float_tokens(_csv_spelling, f_gap[rows], grad_norm[rows],
-                                                      trace.x[rows], trace.y[rows]),
-                             flags[rows], energy[rows], bound[rows]])
-            for rows in _chunks(n_records)
-        )
+                (), *_float_tokens(_csv_spelling, certificate.bound, certificate.energy)[0], (), "")
         names = ["k", "f_gap", "grad_norm", *(f"x{i}" for i in range(d)),
                  *(f"y{i}" for i in range(d)), "monotone_violation", "energy", "bound"]
         head = ",".join(names) + "\r\n"
         template, sep, tail = ",".join(["%s"] * len(names)), "\r\n", "\r\n"
+
+    def matrix(rows):
+        tokens, _ = _float_tokens(spelling, *(a[rows] for a in floats), table=table)
+        if json_trace:  # z is a vector on the records trace.z holds, null on the rest
+            z_text = ["[" + ", ".join(row) + "]" for row in tokens[3].tolist()]
+            tokens[3] = np.array(z_text + ["null"] * (len(tokens[0]) - len(z_text)), dtype=object)
+        return np.column_stack([ks[rows], *tokens, flags[rows], energy[rows], bound[rows]])
+
     with open(path, "w", newline=None if json_trace else "") as fh:
-        _write_rows(fh, head, template, matrices, sep, tail)
+        _write_rows(fh, head, template, (matrix(rows) for rows in _chunks(n_records)), sep, tail)
     if certificate_path is not None:
         with open(certificate_path, "w") as fh:
-            _write_certificate(fh, certificate, tokens[8:] if json_trace else None)
+            _write_certificate(fh, certificate, columns or _certificate_tokens(certificate)[0])
 
 
 def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
@@ -537,11 +538,8 @@ def _cmd_certify(args) -> int:
     trace = load_trace(args.trace)
     problem, optimum = resolve_problem(args.problem)
     certificate = lyapunov.certify(trace, problem, optimum)
-    if args.out:
-        with open(args.out, "w") as fh:
-            _write_certificate(fh, certificate)
-    else:
-        _write_certificate(sys.stdout, certificate)
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_certificate(fh, certificate, _certificate_tokens(certificate)[0])
     if not certificate.overall_pass:
         k = lyapunov.first_failing_k(certificate)
         print(f"certificate: FAIL at k={k}", file=sys.stderr)

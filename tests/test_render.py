@@ -343,3 +343,55 @@ def test_certify_out_reproduces_run_certificate_bytes(tmp_path, capsys, case):
     capsys.readouterr()
     assert harness.main(["certify", "--trace", str(tr), "--problem", problem]) == 0
     _assert_same_text(capsys.readouterr().out, cert.read_text())
+
+
+def test_json_trace_is_spelled_a_chunk_at_a_time(tmp_path, monkeypatch):
+    # The certificate's floats are spelled first, in a table of their own;
+    # each later call spells one chunk's trace floats that table lacks.
+    oracle, optimum = ac.make_quadratic(np.geomspace(5e-3, 1.0, 50))
+    params = ac.RunParams(algo="m-nag", step=0.4, iters=2 * harness.RENDER_CHUNK, momentum_r=2.0)
+    trace = ac.run(oracle, params, np.linspace(-1.0, 1.0, 50))
+    certificate = ac.certify(trace, oracle, optimum)
+    calls = []
+    spell = harness.reprs
+
+    def recording(values, special):
+        calls.append({_bits(v) for v in values.tolist()})
+        assert len(calls[-1]) == len(values)  # no pattern twice in one call
+        return spell(values, special)
+
+    monkeypatch.setattr(harness, "reprs", recording)
+    text, cert_text = _write(tmp_path, trace, optimum, certificate)
+    records = json.loads(text)["records"]
+    assert calls[0] == {_bits(v) for v in _floats(json.loads(cert_text)["rows"])}
+    chunks = [records[rows] for rows in harness._chunks(len(records))]
+    assert len(calls) == 1 + len(chunks) == 4
+    for call, chunk in zip(calls[1:], chunks):
+        assert call <= {_bits(v) for v in _floats(chunk)}
+        assert not call & calls[0]
+    _assert_same_as_reference(tmp_path, trace, optimum, certificate)
+
+
+def test_float_tokens_reuse_a_table_bit_for_bit():
+    # Every special value sits in both the table and the chunk; the chunk
+    # adds a NaN whose payload sorts past every pattern the table holds.
+    specials = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
+    big_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    seed = np.array(specials + [1.5, -2.25, 1e300])
+    chunk = np.array([specials + [1.5, 0.1], [big_nan, 2.5e-310, -0.0, 7.0, -2.25, 1e-5, 3.0, 0.0]])
+    seen = []
+
+    def spelling(values):
+        seen.append(values.view(np.int64).copy())
+        return harness._json_spelling(values)
+
+    (seed_tokens,), table = harness._float_tokens(spelling, seed)
+    seen.clear()
+    (got, flat), _ = harness._float_tokens(spelling, chunk, chunk[0], table=table)
+    (want, want_flat), _ = harness._float_tokens(harness._json_spelling, chunk, chunk[0])
+    assert got.shape == chunk.shape and flat.shape == chunk[0].shape
+    assert got.tolist() == want.tolist() and flat.tolist() == want_flat.tolist()
+    assert got[0, :6].tolist() == ["-0.0", "0.0", "NaN", "Infinity", "-Infinity", "5e-324"]
+    assert seed_tokens.tolist()[:6] == got[0, :6].tolist()
+    lacking = set(chunk.view(np.int64).ravel().tolist()) - set(seed.view(np.int64).tolist())
+    assert len(seen) == 1 and sorted(seen[0].tolist()) == sorted(lacking)

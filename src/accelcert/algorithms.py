@@ -236,25 +236,20 @@ def _step(k, x, y, v, fx, *, problem, s, rs, weights):
 
     One proximal step from y_k gives the candidate z and the first-order map
     at y_k. Without gamma_k, x' = z; with it, z replaces x_k unless it
-    increases phi (ties accept). Given fx = phi(x_k), also returns
-    phi(x_{k+1}), which costs no evaluation beyond phi(z) on monotone
-    schemes. ``rs`` is sqrt(s), and v_k is not read. Returns (x_{k+1},
-    y_{k+1}, v_{k+1}, z or None, map at y_k, phi(x_{k+1}) or None).
+    increases phi (ties accept). fx is phi(x_k), and phi(z), the step's one
+    evaluation, gives phi(x_{k+1}). ``rs`` is sqrt(s), and v_k is not read.
+    Returns (x_{k+1}, y_{k+1}, v_{k+1}, z or None, map at y_k, phi(x_{k+1})).
     """
     beta, gamma = weights(k)
     z, m = prox_step(problem, y, s)
-    if gamma is not None:
-        fz = problem.phi_value(z)
-        x1, f1 = (z, fz) if fz <= fx else (x, fx)
-    else:
-        x1, z = z, None
-        f1 = None if fx is None else problem.phi_value(x1)
+    fz = problem.phi_value(z)
+    x1, f1 = (z, fz) if gamma is None or fz <= fx else (x, fx)
     dx = x1 - x
     # Without beta_k, y' is x' itself: x' + 0*(x' - x) would turn -0.0 into 0.0.
     y1 = x1 if beta is None else x1 + beta * dx
     if gamma is not None:
         y1 = y1 + gamma * (z - x1)
-    return x1, y1, dx / rs, z, m, f1
+    return x1, y1, dx / rs, None if gamma is None else z, m, f1
 
 
 def _phase_step(k, x, y, v, fx, *, problem, s, rs, r):
@@ -264,8 +259,7 @@ def _phase_step(k, x, y, v, fx, *, problem, s, rs, r):
     v1 = v - ((r + 1.0) / (k + r)) * v - rs * g
     x1 = x + rs * v1
     y1 = x1 + (k / (k + 1.0 + r)) * rs * v1
-    f1 = None if fx is None else problem.phi_value(x1)
-    return x1, y1, v1, None, g, f1
+    return x1, y1, v1, None, g, problem.phi_value(x1)
 
 
 def composite_for(problem: Problem, algo: str) -> CompositeObjective:
@@ -283,7 +277,7 @@ def composite_for(problem: Problem, algo: str) -> CompositeObjective:
 
 
 def _transition(scheme: Scheme, problem: CompositeObjective, s: float, r: float | None):
-    """(k, x_k, y_k, v_k, phi(x_k) or None) -> _step's return, for ``scheme``."""
+    """(k, x_k, y_k, v_k, phi(x_k)) -> _step's return, for ``scheme``."""
     if scheme.phase:
         return partial(_phase_step, problem=problem, s=s, rs=math.sqrt(s), r=r)
     return partial(_step, problem=problem, s=s, rs=math.sqrt(s),
@@ -299,13 +293,13 @@ def step(
     (a known algorithm, s positive and finite, r >= 2 for the r family; r is
     ignored by gd, nag-sc and m-nag-sc). ``problem`` is a smooth oracle or a
     composite objective, as ``composite_for`` accepts it. Unlike ``run``, s
-    is not held to (0, 1/L).
+    is not held to (0, 1/L). The kernel takes phi(x_k), which ``step``
+    evaluates, and evaluates phi(x_{k+1}), which ``step`` drops.
     """
     RunParams(algo=algo, step=s, iters=1, momentum_r=r)
     work = composite_for(problem, algo)
-    scheme = SCHEMES[algo]
-    fx = work.phi_value(state.x) if scheme.monotone else None
-    x1, y1, v1, z, _, _ = _transition(scheme, work, s, r)(state.k, state.x, state.y, state.v, fx)
+    transition = _transition(SCHEMES[algo], work, s, r)
+    x1, y1, v1, z, _, _ = transition(state.k, state.x, state.y, state.v, work.phi_value(state.x))
     return AlgoState(state.k + 1, x1, y1, v1, z=z)
 
 

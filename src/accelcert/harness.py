@@ -34,7 +34,7 @@ from .algorithms import (
     run,
 )
 from .errors import AccelCertError, ParameterError
-from .problems import comma_floats, json_floats, read_json, resolve_problem
+from .problems import comma_floats, json_floats, problem_file, read_json, resolve_problem
 
 
 class UsageError(AccelCertError):
@@ -68,7 +68,7 @@ class ExperimentConfig:
     before any problem is resolved: a broken rule raises UsageError. A comma
     string or list x0 becomes a tuple of finite floats; certifying adds
     ``lyapunov.require_certifiable``. The paths hold what the caller gave, and
-    the trace and certificate must resolve to two files."""
+    the trace, certificate and lasso file must resolve to distinct files."""
 
     problem: str
     algo: str
@@ -97,14 +97,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if self.certificate_path is not None and not self.certify:
             raise UsageError("a certificate path needs --certify")
-        paths = [path for path in self.output_paths() if path is not None]
-        try:
-            real_paths = set(map(os.path.realpath, paths))
-        except ValueError as exc:  # an embedded NUL byte
-            raise UsageError(f"bad output path: {exc}") from exc
-        if len(real_paths) < len(paths):
-            raise UsageError("the trace and the certificate would be one file: "
-                             + " and ".join(map(repr, paths)))
+        _check_apart(self.output_paths(), [problem_file(self.problem)])
         try:
             params = self.params
             if self.certify:
@@ -123,6 +116,20 @@ class ExperimentConfig:
         if self.certify and self.certificate_path is None:
             return trace_path, "certificate.json"
         return trace_path, self.certificate_path
+
+
+def _check_apart(outputs, inputs) -> None:
+    """Refuse an output path whose realpath is that of a later output or of a
+    file the call reads; None is no path."""
+    paths = [path for path in (*outputs, *inputs) if path is not None]
+    try:
+        real = list(map(os.path.realpath, paths))
+    except ValueError as exc:  # an embedded NUL byte
+        raise UsageError(f"bad path: {exc}") from exc
+    for i in range(len(paths) - sum(path is not None for path in inputs)):
+        if real[i] in real[i + 1:]:
+            other = paths[real.index(real[i], i + 1)]
+            raise UsageError(f"output path {paths[i]!r} and path {other!r} name one file")
 
 
 def parse_config(source) -> ExperimentConfig:
@@ -167,7 +174,9 @@ def _config_from_mapping(payload: dict, *, default_r: bool = True) -> Experiment
 def _config_from_args(args) -> ExperimentConfig:
     payload = {} if args.config is None else _read_config(args.config)
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_TYPES and v is not None}
-    return _config_from_mapping({**payload, **flags}, default_r=args.config is not None)
+    cfg = _config_from_mapping({**payload, **flags}, default_r=args.config is not None)
+    _check_apart(cfg.output_paths(), [args.config])
+    return cfg
 
 
 def preset(name: str) -> list[ExperimentConfig]:
@@ -231,17 +240,17 @@ def _grad_norm(trace: Trace) -> np.ndarray:
 
 # Writes. Every file emit_trace writes is rendered one way: its rows are
 # built RENDER_CHUNK at a time, each distinct float64 bit pattern among a
-# chunk's floats is spelled once into a table of tokens, and the token
+# chunk's floats is spelled once into that chunk's tokens, and the token
 # matrix is filled into a % row template. A certificate's four columns are
-# spelled once into a table of their own, which the certificate file is
-# written from and a JSON trace's chunks look their floats up in first, so
-# the tokens alive at a time are one chunk's plus the certificate's O(n).
-# JSON floats are spelled as json.dumps spells them, and the files give
-# json.dumps's bytes over the per-record dict trees (certificate_to_dict for
-# a certificate). A CSV trace is spelled as format(v, ".17g") with CRLF line
-# ends, csv.writer's bytes since no field needs quoting; it writes only the
-# certificate's energy and bound, and its JSON certificate is spelled after
-# the trace is written.
+# spelled once, by themselves, and the certificate file is written from
+# them; a JSON trace's chunks take energy and bound from them by row and
+# spell their own floats. So the tokens alive at a time are one chunk's plus
+# the certificate's O(n). JSON floats are spelled as json.dumps spells them,
+# and the files give json.dumps's bytes over the per-record dict trees
+# (certificate_to_dict for a certificate). A CSV trace is spelled as
+# format(v, ".17g") with CRLF line ends, csv.writer's bytes since no field
+# needs quoting; it writes only the certificate's energy and bound, and its
+# JSON certificate is spelled after the trace is written.
 
 #: Records (or certificate rows) rendered per write.
 RENDER_CHUNK = 500
@@ -269,35 +278,27 @@ def _csv_spelling(values: np.ndarray) -> list[str]:
     return [format(v, ".17g") for v in values.tolist()]
 
 
-def _float_tokens(spelling, *columns, table=None):
-    """Tokens of float arrays, as object arrays of the same shapes, and their
-    table: the sorted distinct int64 bit patterns of all the columns and the
-    patterns' tokens.
+def _float_tokens(spelling, *columns) -> list[np.ndarray]:
+    """Tokens of float arrays, as object arrays of the same shapes.
 
     ``spelling`` maps an array of floats to their tokens. It runs once over
-    the distinct patterns that ``table``, a table of an earlier call, does
-    not hold, so -0.0 and 0.0 keep their own tokens.
+    the distinct int64 bit patterns of all the columns, so -0.0 and 0.0
+    keep their own tokens.
     """
     arrays = [np.asarray(col, dtype=float) for col in columns]
     bits = np.concatenate([a.ravel() for a in arrays]).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
-    tokens = np.empty(len(distinct), dtype=object)
-    new = np.ones(len(distinct), dtype=bool)
-    if table is not None:
-        at = np.searchsorted(table[0], distinct).clip(max=len(table[0]) - 1)
-        new = table[0][at] != distinct
-        tokens[~new] = table[1][at[~new]]
-    tokens[new] = spelling(distinct[new].view(np.float64))
+    tokens = np.array(spelling(distinct.view(np.float64)), dtype=object)
     parts = np.split(tokens[inverse.ravel()], np.cumsum([a.size for a in arrays])[:-1])
-    return [part.reshape(a.shape) for part, a in zip(parts, arrays)], (distinct, tokens)
+    return [part.reshape(a.shape) for part, a in zip(parts, arrays)]
 
 
 def _certificate_tokens(certificate):
     """The JSON tokens of a certificate's gap, bound, energy and decrease
-    margin laid out on its rows by lyapunov.row_layout, and their table."""
-    tokens, table = _float_tokens(_json_spelling, certificate.f_gap, certificate.bound,
-                                  certificate.energy, certificate.decrease_margin)
-    return lyapunov.row_layout(*tokens, "null"), table
+    margin laid out on its rows by lyapunov.row_layout."""
+    tokens = _float_tokens(_json_spelling, certificate.f_gap, certificate.bound,
+                           certificate.energy, certificate.decrease_margin)
+    return lyapunov.row_layout(*tokens, "null")
 
 
 def _int_tokens(n: int) -> np.ndarray:
@@ -360,8 +361,8 @@ def emit_trace(
     fields and adds the full per-iteration state, with floats written as
     their repr so reloading is bit-faithful; each record's z is the vector
     z_k on the records ``trace.z`` holds, null on the rest. The certificate
-    is JSON in both cases; a JSON trace takes the tokens of the floats it
-    shares with the certificate from the certificate's table.
+    is JSON in both cases; a JSON trace takes its energy and bound tokens
+    from the certificate's and spells its other floats a chunk at a time.
     """
     if fmt not in FORMATS:
         raise UsageError(f"unknown format {fmt!r}")
@@ -374,14 +375,13 @@ def emit_trace(
     f_gap, grad_norm = trace.f - optimum.f_star, _grad_norm(trace)
     ks, flags = _int_tokens(n_records), _FLAGS[_violations(trace.f)]
     energy = bound = np.full(n_records, "null" if json_trace else "", dtype=object)
-    columns = table = None
+    columns = None
 
     if json_trace:
         spelling = _json_spelling
         floats = [trace.x, trace.y, trace.v, trace.z, trace.f, trace.map, f_gap, grad_norm]
         if certificate is not None:
-            columns, table = _certificate_tokens(certificate)
-            _, bound, energy, _ = columns
+            _, bound, energy, _ = columns = _certificate_tokens(certificate)
         head = _json_head({"kind": "accelcert-trace", "problem_id": trace.problem_id,
                            "params": asdict(trace.params)}, "records")
         template, sep, tail = _record_template(d), ", ", "]}\n"
@@ -389,14 +389,14 @@ def emit_trace(
         spelling, floats = _csv_spelling, [f_gap, grad_norm, trace.x, trace.y]
         if certificate is not None:  # gap and decrease margin are not written
             _, bound, energy, _ = lyapunov.row_layout(
-                (), *_float_tokens(_csv_spelling, certificate.bound, certificate.energy)[0], (), "")
+                (), *_float_tokens(_csv_spelling, certificate.bound, certificate.energy), (), "")
         names = ["k", "f_gap", "grad_norm", *(f"x{i}" for i in range(d)),
                  *(f"y{i}" for i in range(d)), "monotone_violation", "energy", "bound"]
         head = ",".join(names) + "\r\n"
         template, sep, tail = ",".join(["%s"] * len(names)), "\r\n", "\r\n"
 
     def matrix(rows):
-        tokens, _ = _float_tokens(spelling, *(a[rows] for a in floats), table=table)
+        tokens = _float_tokens(spelling, *(a[rows] for a in floats))
         if json_trace:  # z is a vector on the records trace.z holds, null on the rest
             z_text = ["[" + ", ".join(row) + "]" for row in tokens[3].tolist()]
             tokens[3] = np.array(z_text + ["null"] * (len(tokens[0]) - len(z_text)), dtype=object)
@@ -406,7 +406,7 @@ def emit_trace(
         _write_rows(fh, head, template, (matrix(rows) for rows in _chunks(n_records)), sep, tail)
     if certificate_path is not None:
         with open(certificate_path, "w") as fh:
-            _write_certificate(fh, certificate, columns or _certificate_tokens(certificate)[0])
+            _write_certificate(fh, certificate, columns or _certificate_tokens(certificate))
 
 
 def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
@@ -533,13 +533,12 @@ def _cmd_preset(args) -> int:
 
 def _cmd_certify(args) -> int:
     _check_output_path(args.out)
-    if args.out and os.path.realpath(args.out) == os.path.realpath(args.trace):
-        raise UsageError(f"--out would overwrite the trace {args.trace!r}")
+    _check_apart([args.out], [args.trace, problem_file(args.problem)])
     trace = load_trace(args.trace)
     problem, optimum = resolve_problem(args.problem)
     certificate = lyapunov.certify(trace, problem, optimum)
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
-        _write_certificate(fh, certificate, _certificate_tokens(certificate)[0])
+        _write_certificate(fh, certificate, _certificate_tokens(certificate))
     if not certificate.overall_pass:
         k = lyapunov.first_failing_k(certificate)
         print(f"certificate: FAIL at k={k}", file=sys.stderr)

@@ -357,6 +357,11 @@ def gradient_lipschitz_slack(problem: Problem, x, y) -> float:
     return _normalized(lhs, rhs)
 
 
+def problem_file(name: str) -> str | None:
+    """The path of the file that resolve_problem(name) reads, or None."""
+    return name[len("lasso:"):] if name.startswith("lasso:") else None
+
+
 def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
     """Resolve a problem preset.
 
@@ -373,8 +378,8 @@ def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
         except ValueError as exc:
             raise InvalidProblemError(f"bad quad-diag coefficients {body!r}") from exc
         return make_quadratic(coeffs)
-    if name.startswith("lasso:"):
-        path = name[len("lasso:"):]
+    path = problem_file(name)
+    if path is not None:
         payload = read_json(path, "lasso file", InvalidProblemError)
         try:
             design = json_floats(payload["A"], 2)

@@ -499,7 +499,9 @@ def test_traces_compare_by_identity(quad2d):
     assert all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in TRACE_ARRAYS)
 
 
-@pytest.mark.parametrize("algo", ["m-nag", "m-fista", "m-nag-sc"])
+# Every scheme evaluates f once a step: a monotone one at z_k, whose
+# comparison decides f(x_{k+1}), the others at x_{k+1}.
+@pytest.mark.parametrize("algo", list(SCHEMES))
 def test_monotone_run_evaluates_f_once_per_step(quad2d, algo):
     oracle, _ = quad2d
     calls = []
@@ -509,7 +511,7 @@ def test_monotone_run_evaluates_f_once_per_step(quad2d, algo):
         return oracle.value(x)
 
     counted = dataclasses.replace(oracle, value=value)
-    r = None if algo == "m-nag-sc" else 2.0
+    r = 2.0 if algo in R_FAMILY_ALGOS else None
     params = ac.RunParams(algo=algo, step=0.4, iters=40, momentum_r=r)
     trace = ac.run(counted, params, [1.0, 1.0])
     assert len(calls) == params.iters + 1

@@ -567,6 +567,40 @@ def test_certify_refuses_to_write_over_its_trace(tmp_path, capsys, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
 
 
+LASSO_2X2 = {"A": [[2.0, 0.5], [0.5, 1.0]], "b": [1.0, -1.0], "lambda": 0.1}
+OVERWRITES = {
+    "trace-over-lasso": (LASSO_2X2, ["run", "--problem", "lasso:in.json", "--algo", "fista",
+                                     "--step", "0.1", "--r", "2", "--iters", "5",
+                                     "--format", "json", "--trace-out", "in.json"]),
+    "certificate-over-lasso": (LASSO_2X2, ["run", "--problem", "lasso:in.json", "--algo",
+                                           "m-fista", "--step", "0.1", "--r", "2", "--iters",
+                                           "5", "--certify", "--certificate-out", "./in.json"]),
+    "trace-over-config": ({"problem": "quad2d", "algo": "nag", "step": 0.4, "iters": 5,
+                           "trace_path": "in.json"}, ["run", "--config", "in.json"]),
+    "certify-out-over-lasso": (LASSO_2X2, ["certify", "--trace", "t.json", "--problem",
+                                           "lasso:in.json", "--out", "in.json"]),
+}
+
+
+@pytest.mark.parametrize("payload,argv", OVERWRITES.values(), ids=OVERWRITES)
+def test_outputs_may_not_overwrite_an_input(tmp_path, capsys, monkeypatch, payload, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("a refused output path reached the run")
+
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload))
+    before = path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    for name in ("resolve_problem", "run", "load_trace"):
+        monkeypatch.setattr(harness, name, fail)
+    rc = harness.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
+
 @pytest.mark.parametrize("out", ["d", "", "missing/c.json"])
 def test_certify_refuses_an_out_path_that_names_no_file(tmp_path, capsys, monkeypatch, out):
     def fail(*args, **kwargs):

@@ -292,29 +292,48 @@ def _floats(tree):
             yield from _floats(value)
 
 
+def _spy_on_reprs(monkeypatch):
+    """The bit patterns of each harness.reprs call, one set per call; a call
+    that spells a pattern twice fails."""
+    calls = []
+    spell = harness.reprs
+
+    def recording(values, special):
+        calls.append({_bits(v) for v in values.tolist()})
+        assert len(calls[-1]) == len(values)  # no pattern twice in one call
+        return spell(values, special)
+
+    monkeypatch.setattr(harness, "reprs", recording)
+    return calls
+
+
+def _assert_spelled_by_chunk(calls, text, cert_text):
+    """The certificate's floats are spelled in the first call, and each later
+    call spells one chunk's own trace floats: all but its energy and bound,
+    which are the certificate's. Together they are every float written."""
+    records = json.loads(text)["records"]
+    cert_floats = {_bits(v) for v in _floats(json.loads(cert_text)["rows"])}
+    chunks = [records[rows] for rows in harness._chunks(len(records))]
+    assert calls[0] == cert_floats and len(calls) == 1 + len(chunks)
+    for call, chunk in zip(calls[1:], chunks):
+        own = [{k: v for k, v in rec.items() if k not in ("energy", "bound")} for rec in chunk]
+        assert call == {_bits(v) for v in _floats(own)}
+    # params.step is in the header, which json.dumps writes.
+    assert set().union(*calls) == {_bits(v) for v in _floats(records)} | cert_floats
+
+
 def test_formatter_runs_once_per_distinct_bit_pattern(tmp_path, quad2d, monkeypatch):
     oracle, optimum = quad2d
     params = ac.RunParams(algo="m-nag", step=0.4, iters=300, momentum_r=2.0)
     trace = ac.run(oracle, params, [-0.0, 1.0], problem_id="quad2d")
     certificate = ac.certify(trace, oracle, optimum)
-    calls = []
-    spell = harness.reprs
-
-    def recording(values, special):
-        calls.append(values.copy())
-        return spell(values, special)
-
-    monkeypatch.setattr(harness, "reprs", recording)
+    calls = _spy_on_reprs(monkeypatch)
     text, cert_text = _write(tmp_path, trace, optimum, certificate)
-    # Every float of the records and rows; params.step is in the header,
-    # which json.dumps writes.
-    floats = [*_floats(json.loads(text)["records"]), *_floats(json.loads(cert_text)["rows"])]
-    called = [_bits(v) for v in np.concatenate(calls).tolist()]
-    assert len(called) == len(set(called))
-    assert set(called) == {_bits(v) for v in floats}
-    # The trace and certificate repeat values: f_gap is f when f* = 0 and
-    # the certificate's gap, bound and energy are the trace's.
-    assert len(called) < len(floats) / 2
+    _assert_spelled_by_chunk(calls, text, cert_text)
+    # The trace repeats values: f_gap is f when f* = 0, and z_k is x_{k+1}
+    # on accepted steps.
+    n_floats = sum(1 for _ in _floats(json.loads(text)["records"]))
+    assert len(calls[1]) < n_floats / 2
 
 
 def _lasso_file(tmp_path, seed):
@@ -346,52 +365,37 @@ def test_certify_out_reproduces_run_certificate_bytes(tmp_path, capsys, case):
 
 
 def test_json_trace_is_spelled_a_chunk_at_a_time(tmp_path, monkeypatch):
-    # The certificate's floats are spelled first, in a table of their own;
-    # each later call spells one chunk's trace floats that table lacks.
+    # The certificate's floats are spelled first, by themselves; each later
+    # call spells one chunk's trace floats.
     oracle, optimum = ac.make_quadratic(np.geomspace(5e-3, 1.0, 50))
     params = ac.RunParams(algo="m-nag", step=0.4, iters=2 * harness.RENDER_CHUNK, momentum_r=2.0)
     trace = ac.run(oracle, params, np.linspace(-1.0, 1.0, 50))
     certificate = ac.certify(trace, oracle, optimum)
-    calls = []
-    spell = harness.reprs
-
-    def recording(values, special):
-        calls.append({_bits(v) for v in values.tolist()})
-        assert len(calls[-1]) == len(values)  # no pattern twice in one call
-        return spell(values, special)
-
-    monkeypatch.setattr(harness, "reprs", recording)
+    calls = _spy_on_reprs(monkeypatch)
     text, cert_text = _write(tmp_path, trace, optimum, certificate)
-    records = json.loads(text)["records"]
-    assert calls[0] == {_bits(v) for v in _floats(json.loads(cert_text)["rows"])}
-    chunks = [records[rows] for rows in harness._chunks(len(records))]
-    assert len(calls) == 1 + len(chunks) == 4
-    for call, chunk in zip(calls[1:], chunks):
-        assert call <= {_bits(v) for v in _floats(chunk)}
-        assert not call & calls[0]
+    _assert_spelled_by_chunk(calls, text, cert_text)
+    assert len(calls) == 4
     _assert_same_as_reference(tmp_path, trace, optimum, certificate)
 
 
-def test_float_tokens_reuse_a_table_bit_for_bit():
-    # Every special value sits in both the table and the chunk; the chunk
-    # adds a NaN whose payload sorts past every pattern the table holds.
-    specials = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324]
-    big_nan = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
-    seed = np.array(specials + [1.5, -2.25, 1e300])
-    chunk = np.array([specials + [1.5, 0.1], [big_nan, 2.5e-310, -0.0, 7.0, -2.25, 1e-5, 3.0, 0.0]])
+def test_float_tokens_spell_each_pattern_once_as_json_dumps():
+    # Signed zeros, a NaN with a payload, infinities and subnormals, spread
+    # over two columns of different shapes.
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    specials = [-0.0, 0.0, float("nan"), nan_payload, float("inf"), float("-inf"), 5e-324]
+    grid = np.array([specials, [2.5e-310, -0.0, 7.0, 1.5, 0.1, 0.0, -5e-324]])
+    column = np.array(specials[::-1] + [1.5, 1e300])
     seen = []
 
     def spelling(values):
         seen.append(values.view(np.int64).copy())
         return harness._json_spelling(values)
 
-    (seed_tokens,), table = harness._float_tokens(spelling, seed)
-    seen.clear()
-    (got, flat), _ = harness._float_tokens(spelling, chunk, chunk[0], table=table)
-    (want, want_flat), _ = harness._float_tokens(harness._json_spelling, chunk, chunk[0])
-    assert got.shape == chunk.shape and flat.shape == chunk[0].shape
-    assert got.tolist() == want.tolist() and flat.tolist() == want_flat.tolist()
-    assert got[0, :6].tolist() == ["-0.0", "0.0", "NaN", "Infinity", "-Infinity", "5e-324"]
-    assert seed_tokens.tolist()[:6] == got[0, :6].tolist()
-    lacking = set(chunk.view(np.int64).ravel().tolist()) - set(seed.view(np.int64).tolist())
-    assert len(seen) == 1 and sorted(seen[0].tolist()) == sorted(lacking)
+    got_grid, got_column = harness._float_tokens(spelling, grid, column)
+    assert got_grid.shape == grid.shape and got_column.shape == column.shape
+    assert got_grid.tolist() == [[json.dumps(v) for v in row] for row in grid.tolist()]
+    assert got_column.tolist() == [json.dumps(v) for v in column.tolist()]
+    assert got_grid[0].tolist() == ["-0.0", "0.0", "NaN", "NaN", "Infinity", "-Infinity",
+                                    "5e-324"]
+    patterns = np.concatenate([grid.ravel(), column]).view(np.int64).tolist()
+    assert len(seen) == 1 and sorted(seen[0].tolist()) == sorted(set(patterns))

@@ -67,8 +67,9 @@ class ExperimentConfig:
     a --config file, a dict, direct, ``preset``, ``dataclasses.replace``) and
     before any problem is resolved: a broken rule raises UsageError. A comma
     string or list x0 becomes a tuple of finite floats; certifying adds
-    ``lyapunov.require_certifiable``. The paths hold what the caller gave, and
-    the trace, certificate and lasso file must resolve to distinct files."""
+    ``lyapunov.require_certifiable``. The paths hold what the caller gave,
+    and ``output_paths()`` must name distinct files in existing directories,
+    none of them the lasso file (``_check_files``)."""
 
     problem: str
     algo: str
@@ -97,7 +98,7 @@ class ExperimentConfig:
             raise UsageError(f"unknown format {self.format!r}")
         if self.certificate_path is not None and not self.certify:
             raise UsageError("a certificate path needs --certify")
-        _check_apart(self.output_paths(), [problem_file(self.problem)])
+        _check_files(self.output_paths(), [problem_file(self.problem)])
         try:
             params = self.params
             if self.certify:
@@ -118,40 +119,38 @@ class ExperimentConfig:
         return trace_path, self.certificate_path
 
 
-def _check_apart(outputs, inputs) -> None:
-    """Refuse an output path whose realpath is that of a later output or of a
-    file the call reads; None is no path."""
-    paths = [path for path in (*outputs, *inputs) if path is not None]
+def _check_files(outputs, inputs) -> None:
+    """Refuse, before any work is done, an output path that is empty, ends in
+    a separator, is a directory or lies in a missing one, or whose realpath
+    is that of a later output or of a file the call reads; None is no path."""
+    outputs = [path for path in outputs if path is not None]
+    paths = outputs + [path for path in inputs if path is not None]
     try:
         real = list(map(os.path.realpath, paths))
     except ValueError as exc:  # an embedded NUL byte
         raise UsageError(f"bad path: {exc}") from exc
-    for i in range(len(paths) - sum(path is not None for path in inputs)):
+    for i, path in enumerate(outputs):
+        in_a_dir = os.path.isdir(os.path.dirname(real[i])) and not os.path.isdir(path)
+        if not (os.path.basename(path) and in_a_dir):
+            raise UsageError(f"output path {path!r} names no file in an existing directory")
         if real[i] in real[i + 1:]:
             other = paths[real.index(real[i], i + 1)]
-            raise UsageError(f"output path {paths[i]!r} and path {other!r} name one file")
+            raise UsageError(f"output path {path!r} and path {other!r} name one file")
 
 
 def parse_config(source) -> ExperimentConfig:
     """The ExperimentConfig of ``run`` command-line tokens, a JSON config
-    file's path, or a dict with ExperimentConfig's keys. Flags are laid over
-    the keys of the --config file, if any. A file or dict may omit momentum_r
-    or set it to null, which gives r = 2 to r-dependent algorithms; on the
-    command line without --config, --r is mandatory for them."""
+    file's path, or a dict with ExperimentConfig's keys. A path is read as
+    ``run --config path`` reads it. A file or dict may omit momentum_r or set
+    it to null, which gives r = 2 to r-dependent algorithms; on the command
+    line without --config, --r is mandatory for them."""
+    if isinstance(source, (str, os.PathLike)):
+        source = [f"--config={os.fspath(source)}"]
     if isinstance(source, (list, tuple)):
         return _config_from_args(_build_parser().parse_args(["run", *source]))
-    if isinstance(source, (str, os.PathLike)):
-        return _config_from_mapping(_read_config(source))
     if isinstance(source, dict):
         return _config_from_mapping(source)
     raise UsageError(f"cannot parse config from {type(source).__name__}")
-
-
-def _read_config(path) -> dict:
-    payload = read_json(path, "config", UsageError)
-    if not isinstance(payload, dict):
-        raise UsageError(f"config must be a JSON object, got {type(payload).__name__}")
-    return payload
 
 
 def _config_from_mapping(payload: dict, *, default_r: bool = True) -> ExperimentConfig:
@@ -172,10 +171,17 @@ def _config_from_mapping(payload: dict, *, default_r: bool = True) -> Experiment
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    payload = {} if args.config is None else _read_config(args.config)
+    """The ExperimentConfig of parsed ``run`` flags, laid over the keys of the
+    --config file if there is one. That file is an input of the run, so no
+    output path may name it."""
     flags = {k: v for k, v in vars(args).items() if k in _CONFIG_TYPES and v is not None}
-    cfg = _config_from_mapping({**payload, **flags}, default_r=args.config is not None)
-    _check_apart(cfg.output_paths(), [args.config])
+    if args.config is None:
+        return _config_from_mapping(flags, default_r=False)
+    payload = read_json(args.config, "config", UsageError)
+    if not isinstance(payload, dict):
+        raise UsageError(f"config must be a JSON object, got {type(payload).__name__}")
+    cfg = _config_from_mapping({**payload, **flags})
+    _check_files(cfg.output_paths(), [args.config])
     return cfg
 
 
@@ -197,23 +203,13 @@ def preset(name: str) -> list[ExperimentConfig]:
     raise UsageError(f"unknown preset {name!r}; available: fig1, fig2")
 
 
-def _check_output_path(path: str | None) -> None:
-    """Refuse an output path that is empty, ends in a separator, is a directory
-    or lies in a missing one, before any work is done; None is no path."""
-    if path is not None and (not os.path.basename(path) or os.path.isdir(path)
-                             or not os.path.isdir(os.path.dirname(os.path.abspath(path)))):
-        raise UsageError(f"output path {path!r} names no file in an existing directory")
-
-
 def run_experiment(cfg: ExperimentConfig):
     """Run one configured experiment; returns (trace, certificate or None).
 
     Writes the trace and, when certifying, the certificate JSON to
-    ``cfg.output_paths()``, which must name files in existing directories.
+    ``cfg.output_paths()``, which were checked when ``cfg`` was built.
     """
     trace_path, certificate_path = cfg.output_paths()
-    for path in (trace_path, certificate_path):
-        _check_output_path(path)
     problem, optimum = resolve_problem(cfg.problem)
     x0 = np.ones(problem.dim) if cfg.x0 == "ones" else cfg.x0
     trace = run(problem, cfg.params, x0, problem_id=cfg.problem)
@@ -532,8 +528,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    _check_output_path(args.out)
-    _check_apart([args.out], [args.trace, problem_file(args.problem)])
+    _check_files([args.out], [args.trace, problem_file(args.problem)])
     trace = load_trace(args.trace)
     problem, optimum = resolve_problem(args.problem)
     certificate = lyapunov.certify(trace, problem, optimum)

@@ -502,7 +502,7 @@ def test_traces_compare_by_identity(quad2d):
 # Every scheme evaluates f once a step: a monotone one at z_k, whose
 # comparison decides f(x_{k+1}), the others at x_{k+1}.
 @pytest.mark.parametrize("algo", list(SCHEMES))
-def test_monotone_run_evaluates_f_once_per_step(quad2d, algo):
+def test_run_evaluates_f_once_per_step(quad2d, algo):
     oracle, _ = quad2d
     calls = []
 

@@ -132,9 +132,12 @@ QUAD_NAG_R2 = {**QUAD_NAG, "momentum_r": 2.0}
         {"certify": True, "format": "json", "trace_path": "out/../t.json",
          "certificate_path": "t.json"},
         {"trace_path": "t\x00.csv"},
+        {"trace_path": "missing/t.csv"},
+        {"certify": True, "certificate_path": "."},
     ],
 )
-def test_a_direct_config_is_checked_when_built(fields):
+def test_a_direct_config_is_checked_when_built(tmp_path, monkeypatch, fields):
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(UsageError):
         harness.ExperimentConfig(**{**QUAD_NAG_R2, **fields})
 

@@ -579,6 +579,10 @@ OVERWRITES = {
                            "trace_path": "in.json"}, ["run", "--config", "in.json"]),
     "certify-out-over-lasso": (LASSO_2X2, ["certify", "--trace", "t.json", "--problem",
                                            "lasso:in.json", "--out", "in.json"]),
+    # The library's route: parse_config("in.json") refuses the file, so no
+    # run_experiment can write over it.
+    "library-trace-over-config": ({"problem": "quad2d", "algo": "nag", "step": 0.4,
+                                   "iters": 5, "trace_path": "in.json"}, None),
 }
 
 
@@ -593,10 +597,14 @@ def test_outputs_may_not_overwrite_an_input(tmp_path, capsys, monkeypatch, paylo
     monkeypatch.chdir(tmp_path)
     for name in ("resolve_problem", "run", "load_trace"):
         monkeypatch.setattr(harness, name, fail)
-    rc = harness.main(argv)
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    if argv is None:
+        with pytest.raises(UsageError):
+            harness.parse_config("in.json")
+    else:
+        rc = harness.main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 

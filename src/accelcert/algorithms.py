@@ -293,14 +293,16 @@ def step(
     ``algo``, ``s`` and ``r`` pass the checks ``RunParams`` applies to a run
     (a known algorithm, s positive and finite, r >= 2 for the r family; r is
     ignored by gd, nag-sc and m-nag-sc). ``problem`` is a smooth oracle or a
-    composite objective, as ``composite_for`` accepts it. Unlike ``run``, s
+    composite objective, as ``composite_for`` accepts it, and the state's
+    x, y and v have its dimension, as ``run``'s x0 must. Unlike ``run``, s
     is not held to (0, 1/L). The kernel takes phi(x_k), which ``step``
     evaluates, and evaluates phi(x_{k+1}), which ``step`` drops.
     """
     RunParams(algo=algo, step=s, iters=1, momentum_r=r)
     work = composite_for(problem, algo)
+    x, y, v = (_as_vector(a, work.dim) for a in (state.x, state.y, state.v))
     transition = _transition(SCHEMES[algo], work, s, r)
-    x1, y1, v1, z, _, _ = transition(state.k, state.x, state.y, state.v, work.phi_value(state.x))
+    x1, y1, v1, z, _, _ = transition(state.k, x, y, v, work.phi_value(x))
     return AlgoState(state.k + 1, x1, y1, v1, z=z)
 
 
@@ -311,7 +313,8 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     first-order map at y_k that the transition consumed (for the final row
     it is evaluated once more, which is exact since oracles are pure). f is evaluated once
     per step: at x_{k+1}, or for monotone schemes at z_k, whose comparison
-    decides f(x_{k+1}).
+    decides f(x_{k+1}). An iters whose (iters+1, d) arrays numpy cannot
+    address raises ParameterError before anything is allocated.
     """
     work = composite_for(problem, params.algo)
     require_step(params.step, work.smooth.lipschitz)
@@ -330,6 +333,8 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     if not math.isfinite(fx):
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
     n = params.iters
+    if (n + 1) * work.dim * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ParameterError(f"iters = {n} is too large: the trace arrays cannot hold it")
     x, y, v, m = (np.empty((n + 1, work.dim)) for _ in range(4))
     z = np.empty((n if scheme.monotone else 0, work.dim))
     f = np.empty(n + 1)

@@ -15,12 +15,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .algorithms import SCHEMES, RunParams, Trace, composite_for, scheme_of
+from .algorithms import SCHEMES, RunParams, Trace, composite_for
 from .errors import ParameterError
 from .problems import OptimumInfo, Problem, Vector, _is_a
 from .proximal import require_step
 
-#: Energy forms ``energy`` and ``certify`` accept; "auto" resolves per scheme.
+#: Energy forms ``energy`` accepts. "xy" is the velocity-free energy that
+#: every certificate checks, and "auto" names it too; "velocity" is the
+#: position-velocity reference, per k only.
 ENERGY_FORMS = ("auto", "velocity", "xy")
 
 #: Certification slack (relative, absolute): theorem inequalities are exact
@@ -73,20 +75,6 @@ class EnergyBreakdown:
         return self.potential + self.mixed
 
 
-def resolve_form(algo: str, form: str = "auto") -> str:
-    """The energy form ``form`` names for ``algo``: "auto" is "xy" for the
-    monotone schemes and "velocity" for the others. Raises ParameterError
-    for an unknown scheme or form and for "velocity" on a monotone scheme."""
-    if form not in ENERGY_FORMS:
-        raise ParameterError(f"unknown energy form {form!r}")
-    monotone = scheme_of(algo).monotone
-    if form == "auto":
-        return "xy" if monotone else "velocity"
-    if form == "velocity" and monotone:
-        raise ParameterError(f"velocity-form energy undefined for {algo}; use form='xy'")
-    return form
-
-
 def energy(
     trace: Trace,
     k: int,
@@ -97,17 +85,22 @@ def energy(
 ) -> EnergyBreakdown:
     """Lyapunov energy E(k) = s*tau(k)*(f(x_{k+1}) - f*) + mixed(k).
 
-    ``form`` selects the mixed term: "velocity" uses
-    0.5*||(k-1)*sqrt(s)*v_k + r*(x_k - x*) - s*(k+r)*m_k||^2 and applies to
-    schemes that maintain the position-velocity relation; "xy" uses
-    0.5*||k*(y_k - x_k) + r*(y_k - x*) - (k+r)*s*m_k||^2 and is the only
-    form defined for the monotone schemes (their velocity is not part of
-    the analysis). "auto" picks the form as ``certify`` does (see
-    ``resolve_form``).
+    ``form`` selects the mixed term. "xy" (and "auto") is the paper's
+    velocity-free 0.5*||k*(y_k - x_k) + r*(y_k - x*) - (k+r)*s*m_k||^2, the
+    energy ``certify`` checks on every scheme. "velocity" is li2024linear's
+    0.5*||(k-1)*sqrt(s)*v_k + r*(x_k - x*) - s*(k+r)*m_k||^2, a per-k
+    reference that equals "xy" up to rounding wherever the
+    position-velocity relation holds; it is undefined on the monotone
+    schemes, whose velocity is not part of the analysis.
     """
     if optimum is None:
         raise ParameterError("energy evaluation requires an optimum")
-    form = resolve_form(trace.params.algo, form)
+    if form not in ENERGY_FORMS:
+        raise ParameterError(f"unknown energy form {form!r}")
+    if form == "velocity" and SCHEMES[trace.params.algo].monotone:
+        raise ParameterError(
+            f"velocity-form energy undefined for {trace.params.algo}; use form='xy'"
+        )
     _check_k(trace, k, k + 1)
     x, y, m, x_star = trace.x[k], trace.y[k], trace.map[k], optimum.x_star
     pot = s * tau(k, r) * (float(trace.f[k + 1]) - optimum.f_star)
@@ -125,8 +118,8 @@ def row_dots(a: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ a[:, :, None]).ravel()
 
 
-def _energies(trace: Trace, s: float, r: float, optimum: OptimumInfo, form: str) -> np.ndarray:
-    """E(0..n-1) over a trace's arrays, bit-identical to ``energy().total``.
+def _energies(trace: Trace, s: float, r: float, optimum: OptimumInfo) -> np.ndarray:
+    """E(0..n-1) over a trace's arrays, bit-identical to ``energy(..., "xy").total``.
 
     The elementwise terms are built in energy()'s operation order; each
     mixed term is a ``row_dots`` entry, rounded as energy()'s np.dot.
@@ -134,11 +127,7 @@ def _energies(trace: Trace, s: float, r: float, optimum: OptimumInfo, form: str)
     n = trace.iters
     ks = np.arange(n, dtype=float)[:, None]
     x, y, m = trace.x[:n], trace.y[:n], trace.map[:n]
-    x_star = optimum.x_star
-    if form == "velocity":
-        vecs = (ks - 1.0) * math.sqrt(s) * trace.v[:n] + r * (x - x_star) - s * (ks + r) * m
-    else:
-        vecs = ks * (y - x) + r * (y - x_star) - (ks + r) * s * m
+    vecs = ks * (y - x) + r * (y - optimum.x_star) - (ks + r) * s * m
     potential = s * ((ks[:, 0] + 1.0) * (ks[:, 0] + r + 1.0)) * (trace.f[1:] - optimum.f_star)
     return potential + 0.5 * row_dots(vecs)
 
@@ -160,21 +149,20 @@ def threshold_K(r: float) -> int:
     return max(0, math.ceil(raw))
 
 
-def require_certifiable(params: RunParams, form: str = "auto") -> tuple[str, int]:
+def require_certifiable(params: RunParams) -> int:
     """The certify rule that a run's settings alone decide, else ParameterError:
-    the scheme is certifiable in SCHEMES, ``resolve_form`` accepts ``form`` for
-    it, K(r) is finite, and iters >= max{1, K} + 1. Returns the form and K."""
+    the scheme is certifiable in SCHEMES, K(r) is finite, and
+    iters >= max{1, K} + 1. Returns K."""
     if not SCHEMES[params.algo].certifiable:
         certifiable = ", ".join(sorted(name for name, row in SCHEMES.items() if row.certifiable))
         raise ParameterError(f"no certificate for {params.algo!r}; certifiable: {certifiable}")
-    form = resolve_form(params.algo, form)
     big_k = threshold_K(params.momentum_r)
     if params.iters < max(1, big_k) + 1:
         raise ParameterError(
             f"too few iterations to certify: need at least {max(1, big_k) + 1} "
             f"for K = {big_k}, got {params.iters}"
         )
-    return form, big_k
+    return big_k
 
 
 def rate_factor(mu: float, s: float, lipschitz: float) -> float:
@@ -284,7 +272,9 @@ def certify(
     """Check the rate bound and per-step energy decrease along a trace.
 
     Row k carries the optimality gap f(x_k) - f*, the theorem bound (from
-    k = 1), the energy E(k), and the raw decrease margin
+    k = 1), the paper's velocity-free energy E(k) (``energy``'s "xy" form,
+    on every scheme; ``form`` is "auto" or "xy", and "velocity" raises
+    ParameterError), and the raw decrease margin
     E(k)/rate_factor(mu, s, L) - E(k+1), with the base of the bound's
     power. Flags apply relative plus absolute slack: ANALYTIC_TOLS (1e-8,
     1e-12) for analytic optima and REFERENCE_TOLS (1e-6, 1e-9) for
@@ -296,7 +286,12 @@ def certify(
     outside (0, 1/L) raises StepSizeError. The rule on the trace's settings
     alone is ``require_certifiable``, which a run's config checks up front.
     """
-    form, big_k = require_certifiable(trace.params, form)
+    if form not in ("auto", "xy"):
+        raise ParameterError(
+            f"certify checks the velocity-free energy only: form must be 'auto' or 'xy', "
+            f"got {form!r}"
+        )
+    big_k = require_certifiable(trace.params)
     if optimum is None:
         raise ParameterError("certification requires an optimum")
     oracle = composite_for(problem, trace.params.algo).smooth
@@ -314,7 +309,7 @@ def certify(
     diff1 = trace.x[1] - optimum.x_star
     x1_dist_sq = float(np.dot(diff1, diff1))
 
-    energies = _energies(trace, s, r, optimum, form)
+    energies = _energies(trace, s, r, optimum)
     # Bound for k = 1..n, as theorem_bound computes it; the power stays a
     # scalar power per k, whose last bits np.power does not reproduce.
     ks = np.arange(1, n + 1, dtype=float)

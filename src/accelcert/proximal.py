@@ -36,7 +36,7 @@ def soft_threshold(u, theta: float) -> Vector:
 
     Entries with |u_i| <= theta map to exact zeros.
     """
-    if theta < 0.0:
+    if not theta >= 0.0:
         raise ParameterError("threshold must be nonnegative")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)

@@ -238,6 +238,15 @@ def test_step_checks_its_parameters_as_run_params_does(quad2d, algo, s, r):
         ac.step(algo, initial_state([1.0, 1.0]), quad2d[0], s, r)
 
 
+def test_step_checks_the_state_dimension_as_run_checks_x0(quad2d):
+    with pytest.raises(InvalidProblemError, match="dimension mismatch: expected 2, got 3"):
+        ac.step("nag", initial_state([1.0, 2.0, 3.0]), quad2d[0], 0.4, 2.0)
+    for algo, name in itertools.product(("nag", "nag-phase"), ("x", "y", "v")):
+        state = dataclasses.replace(initial_state([1.0, 2.0]), **{name: np.ones(3)})
+        with pytest.raises(InvalidProblemError, match="dimension mismatch: expected 2, got 3"):
+            ac.step(algo, state, quad2d[0], 0.4, 2.0)
+
+
 def test_scheme_table_holds_the_facts_of_each_scheme():
     def names(fact):
         return {algo for algo, row in SCHEMES.items() if fact(row)}
@@ -323,6 +332,15 @@ def test_run_problem_kind_mismatches(quad2d, identity_lasso):
         )
     with pytest.raises(InvalidProblemError):
         ac.run(oracle, ac.RunParams(algo="nag", step=0.1, iters=5, momentum_r=2.0), [1.0])
+
+
+@pytest.mark.parametrize("iters", [99999999999999999999, 4611686018427387904])
+def test_run_refuses_iters_its_arrays_cannot_hold(quad2d, iters):
+    # (iters+1, 2) float arrays past numpy's addressable size: refused before
+    # any array exists, so the test allocates nothing.
+    params = ac.RunParams(algo="nag", step=0.4, iters=iters, momentum_r=2.0)
+    with pytest.raises(ParameterError, match=f"iters = {iters} is too large"):
+        ac.run(quad2d[0], params, [1.0, 1.0])
 
 
 def test_run_unwraps_zero_composite(quad2d):

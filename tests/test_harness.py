@@ -292,19 +292,6 @@ def test_unwritable_trace_path_is_reported(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("algo", ["nag", "nag-phase", "fista"])
-def test_xy_energy_gives_the_verdicts_of_the_schemes_form(quad2d, algo):
-    # The paper's equivalence: once x, y and v obey the position-velocity
-    # relation, the velocity-free energy certifies as the velocity one does.
-    params = ac.RunParams(algo=algo, step=0.4, iters=200, momentum_r=2.0)
-    trace = ac.run(quad2d[0], params, [1.0, 1.0], problem_id="quad2d")
-    default = ac.certify(trace, *quad2d)
-    xy = ac.certify(trace, *quad2d, form="xy")
-    assert default.overall_pass and xy.overall_pass
-    assert np.array_equal(xy.bound_ok, default.bound_ok)
-    assert np.array_equal(xy.decrease_ok, default.decrease_ok)
-
-
 def test_preset_definitions():
     fig1 = preset("fig1")
     assert [cfg.algo for cfg in fig1] == ["nag", "m-nag"]
@@ -844,6 +831,19 @@ def test_out_of_memory_is_a_one_line_error(tmp_path):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("iters", ["99999999999999999999", "4611686018427387904"])
+def test_iters_past_the_arrays_reach_is_a_one_line_error(tmp_path, capsys, monkeypatch, iters):
+    # numpy cannot address (iters+1, 2) float arrays, so nothing is allocated.
+    monkeypatch.chdir(tmp_path)
+    rc = harness.main(["run", "--problem", "quad2d", "--algo", "nag", "--step", "0.4", "--r", "2",
+                       "--iters", iters, "--certify", "--format", "json"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: iters = {iters} is too large: the trace arrays cannot hold it\n"
+    assert not os.listdir(tmp_path)
 
 
 def test_rate_power_overflow_ends_in_a_certificate(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 
@@ -142,11 +143,11 @@ def test_energy_nearly_nonnegative_with_reference_optimum(lasso5):
 
 
 def test_energy_auto_form_is_the_resolved_form(nag_trace, mnag_trace, quad2d):
+    # "auto" names the velocity-free energy on every scheme.
     for trace in (nag_trace, mnag_trace):
-        form = ly.resolve_form(trace.params.algo)
         for k in range(len(trace.f) - 1):
             auto = ac.energy(trace, k, S, R, quad2d[1], "auto")
-            assert auto == ac.energy(trace, k, S, R, quad2d[1], form)
+            assert auto == ac.energy(trace, k, S, R, quad2d[1], "xy")
 
 
 def test_energy_velocity_form_rejected_for_monotone(mnag_trace, quad2d):
@@ -161,8 +162,9 @@ def test_energy_argument_errors(nag_trace, quad2d):
         ac.energy(nag_trace, 0, S, R, None, "xy")
     with pytest.raises(ParameterError):
         ac.energy(nag_trace, 0, S, R, quad2d[1], "kinetic")
-    with pytest.raises(ParameterError, match="unknown algorithm 'sgd'; choose from gd, nag,"):
-        ly.resolve_form("sgd")
+    with pytest.raises(ParameterError, match="form must be 'auto' or 'xy', got 'kinetic'"):
+        ac.certify(nag_trace, *quad2d, form="kinetic")
+    assert not hasattr(ly, "resolve_form")
 
 
 @pytest.mark.parametrize("r,expected", [(2.0, 0), (3.0, 1), (4.0, 3)])
@@ -287,6 +289,20 @@ def test_certify_requires_certifiable_algorithm(quad2d):
         ac.certify(trace, oracle, optimum)
 
 
+def test_certify_refuses_the_velocity_energy(nag_trace, quad2d):
+    with pytest.raises(ParameterError, match="velocity-free energy only"):
+        ac.certify(nag_trace, *quad2d, form="velocity")
+
+
+@pytest.mark.parametrize("algo", CERTIFIABLE)
+def test_certify_auto_and_xy_give_the_same_certificate_bytes(quad2d, algo):
+    trace = ac.run(quad2d[0], ac.RunParams(algo=algo, step=S, iters=100, momentum_r=R),
+                   [1.0, 1.0])
+    auto, xy = (json.dumps(ly.certificate_to_dict(ac.certify(trace, *quad2d, form=form)))
+                for form in ("auto", "xy"))
+    assert auto == xy
+
+
 def test_certify_requires_an_optimum(nag_trace, quad2d):
     with pytest.raises(ParameterError, match="optimum"):
         ac.certify(nag_trace, quad2d[0], None)
@@ -362,12 +378,11 @@ def test_certificate_matches_per_k_api_bitwise(tmp_path, quad2d, lasso5, name, a
     trace = ac.run(problem, params, x0, problem_id=name)
     cert = ac.certify(trace, problem, optimum)
     oracle = ac.problems.smooth_part(problem)
-    form = ly.resolve_form(algo)
     f1_gap = float(trace.f[1]) - optimum.f_star
     diff1 = trace.x[1] - optimum.x_star
     dist_sq = float(np.dot(diff1, diff1))
     shrink = ly.rate_factor(oracle.mu, s, oracle.lipschitz)
-    energies = [ly.energy(trace, k, s, r, optimum, form).total for k in range(300)]
+    energies = [ly.energy(trace, k, s, r, optimum, "xy").total for k in range(300)]
     for k, row in enumerate(cert.rows):
         assert row.k == k
         assert row.f_gap == float(trace.f[k]) - optimum.f_star
@@ -407,9 +422,54 @@ def test_decrease_margin_divides_by_the_rate_factor():
     expected = cert.energy[:-1] / rate - cert.energy[1:]
     assert cert.decrease_margin.tobytes() == expected.tobytes()
     for k, row in enumerate(cert.rows[:199]):
-        energy_k = ly.energy(trace, k, s, R, optimum, "velocity").total
-        energy_next = ly.energy(trace, k + 1, s, R, optimum, "velocity").total
+        energy_k = ly.energy(trace, k, s, R, optimum, "xy").total
+        energy_next = ly.energy(trace, k + 1, s, R, optimum, "xy").total
         assert row.decrease_margin == energy_k / rate - energy_next
+
+
+#: First failing k of each failing run of the equivalence grid, keyed by
+#: (problem, s*L, r). Each is a rate-bound row: below s = 1/(2L) the bound's
+#: r^2*L numerator is smaller than the energy proves, and every decrease row
+#: passes.
+EQUIVALENCE_FAILURES = {
+    ("quad2d", 0.02, 2.0): 4, ("quad2d", 0.02, 3.0): 6, ("quad2d", 0.02, 4.0): 10,
+    ("lasso5", 0.02, 2.0): 3, ("lasso5", 0.02, 3.0): 5, ("lasso5", 0.02, 4.0): 6,
+    ("lasso5", 0.02, 6.0): 10,
+}
+
+
+@pytest.mark.parametrize("algo", ["nag", "nag-phase", "fista"])
+def test_xy_energy_gives_the_verdicts_of_the_velocity_energy(quad2d, lasso5, algo):
+    # The paper's equivalence: wherever x, y and v obey the position-velocity
+    # relation, the velocity-free energy that certify checks gives the
+    # decrease flags and verdict of li2024linear's velocity energy. Over the
+    # three schemes, 100 runs from x0 = ones: s*L in {0.02, ..., 0.9} (s =
+    # 0.01 on quad2d, where the rate bound fails) and r in {2, ..., 8}.
+    n = 1000
+    problems = {"quad2d": quad2d, "lasso5": lasso5} if algo == "fista" else {"quad2d": quad2d}
+    failing = {}
+    grid = itertools.product((0.02, 0.1, 0.4, 0.8, 0.9), (2.0, 3.0, 4.0, 6.0, 8.0))
+    for (name, (problem, optimum)), (sl, r) in itertools.product(problems.items(), grid):
+        oracle = ac.problems.smooth_part(problem)
+        s = sl / oracle.lipschitz
+        trace = ac.run(problem, ac.RunParams(algo=algo, step=s, iters=n, momentum_r=r),
+                       np.ones(oracle.dim))
+        cert = ac.certify(trace, problem, optimum)
+        velocity = np.array([ly.energy(trace, k, s, r, optimum, "velocity").total
+                             for k in range(n)])
+        assert np.max(np.abs(velocity - cert.energy)) <= 1e-13 * velocity[0]
+        rel, absolute = ly.REFERENCE_TOLS if optimum.source == "reference-run" else ly.ANALYTIC_TOLS
+        contracted = velocity[:-1] / ly.rate_factor(oracle.mu, s, oracle.lipschitz)
+        big_k = cert.threshold_K
+        decrease_ok = np.ones(n + 1, dtype=bool)
+        limit = contracted[big_k:] * (1.0 + rel) + absolute
+        decrease_ok[big_k:n - 1] = velocity[big_k + 1:] <= limit
+        decrease_ok[:n] &= np.isfinite(velocity)
+        assert np.array_equal(cert.decrease_ok, decrease_ok)
+        assert cert.overall_pass == bool(cert.bound_ok.all() and decrease_ok.all())
+        if not cert.overall_pass:
+            failing[name, sl, r] = ly.first_failing_k(cert)
+    assert failing == {key: k for key, k in EQUIVALENCE_FAILURES.items() if key[0] in problems}
 
 
 def test_certify_fails_a_row_with_infinite_f(nag_trace, quad2d):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,11 @@ def test_soft_threshold_zero_level_is_identity():
 def test_soft_threshold_rejects_negative_level():
     with pytest.raises(ParameterError):
         ac.soft_threshold([1.0], -0.1)
+
+
+def test_soft_threshold_rejects_nan_level():
+    with pytest.raises(ParameterError, match="threshold must be nonnegative"):
+        ac.soft_threshold([1.0], math.nan)
 
 
 def test_prox_value_zero_regularizer_is_gradient_step(quad2d):

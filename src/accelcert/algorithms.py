@@ -35,14 +35,13 @@ the runner is deterministic, so identical inputs give bit-identical traces.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import InvalidProblemError, ParameterError
-from .problems import CompositeObjective, Problem, Vector, _as_vector, _is_a, as_composite
+from .problems import CompositeObjective, Problem, Vector, _as_vector, as_composite, count, real
 from .proximal import prox_step, require_step
 
 
@@ -98,39 +97,26 @@ class AlgoState:
     z: Vector | None = None
 
 
-def _is_finite(value) -> bool:
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 @dataclass(frozen=True)
 class RunParams:
+    """A run's settings, else ParameterError: a known ``algo``, ``iters`` a
+    count >= 1, ``step`` a real > 0, and ``momentum_r`` a real >= 2 on the r
+    family, which needs it; other schemes take None or any real and ignore it."""
+
     algo: str
     step: float
     iters: int
     momentum_r: float | None = None
 
     def __post_init__(self):
-        scheme = scheme_of(self.algo)
-        if not _is_a(self.iters, numbers.Integral):
-            raise ParameterError(f"iters must be an integer, got {self.iters!r}")
-        if not _is_a(self.step, numbers.Real):
-            raise ParameterError(f"step must be a real number, got {self.step!r}")
-        if self.momentum_r is not None and not _is_a(self.momentum_r, numbers.Real):
-            raise ParameterError(f"momentum_r must be a real number, got {self.momentum_r!r}")
-        if self.iters < 1:
-            raise ParameterError("iters must be a positive integer")
-        if not (self.step > 0.0 and _is_finite(self.step)):
-            raise ParameterError(f"step must be positive and finite, got {self.step}")
-        if self.momentum_r is not None and not _is_finite(self.momentum_r):
-            raise ParameterError(f"momentum parameter r must be finite, got {self.momentum_r}")
-        if scheme.momentum == "r":
-            if self.momentum_r is None:
-                raise ParameterError(f"{self.algo} requires the momentum parameter r")
-            if self.momentum_r < 2.0:
-                raise ParameterError(f"momentum parameter r must be >= 2, got {self.momentum_r}")
+        r_family = scheme_of(self.algo).momentum == "r"
+        count(self.iters, "iters", 1, ParameterError)
+        real(self.step, "step", 0, ParameterError)
+        if r_family and self.momentum_r is None:
+            raise ParameterError(f"{self.algo} requires the momentum parameter r")
+        if self.momentum_r is not None:
+            real(self.momentum_r, "momentum parameter r", 2 if r_family else -math.inf,
+                 ParameterError, strict=False)
 
 
 def _layout_error(name: str, array, shape) -> ParameterError:
@@ -291,14 +277,16 @@ def step(
     """One transition of ``algo`` from ``state``: the kernel ``run`` steps with.
 
     ``algo``, ``s`` and ``r`` pass the checks ``RunParams`` applies to a run
-    (a known algorithm, s positive and finite, r >= 2 for the r family; r is
-    ignored by gd, nag-sc and m-nag-sc). ``problem`` is a smooth oracle or a
-    composite objective, as ``composite_for`` accepts it, and the state's
-    x, y and v have its dimension, as ``run``'s x0 must. Unlike ``run``, s
-    is not held to (0, 1/L). The kernel takes phi(x_k), which ``step``
-    evaluates, and evaluates phi(x_{k+1}), which ``step`` drops.
+    (a known algorithm, s a real > 0, r a real >= 2 for the r family; r is
+    ignored by gd, nag-sc and m-nag-sc), and ``state.k`` is a count from 0
+    to the largest numpy index, else ParameterError. ``problem`` is a smooth
+    oracle or a composite objective, as ``composite_for`` accepts it, and
+    the state's x, y and v have its dimension, as ``run``'s x0 must. Unlike
+    ``run``, s is not held to (0, 1/L). The kernel takes phi(x_k), which
+    ``step`` evaluates, and evaluates phi(x_{k+1}), which ``step`` drops.
     """
     RunParams(algo=algo, step=s, iters=1, momentum_r=r)
+    count(state.k, "state.k", 0, ParameterError, most=np.iinfo(np.intp).max)
     work = composite_for(problem, algo)
     x, y, v = (_as_vector(a, work.dim) for a in (state.x, state.y, state.v))
     transition = _transition(SCHEMES[algo], work, s, r)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import numbers
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -45,14 +44,10 @@ DEFAULT_ITERS = 200
 DEFAULT_R = 2.0
 FORMATS = ("csv", "json")
 
-#: The value types of the ExperimentConfig fields, numbers checked as RunParams
-#: checks them. The ``run`` flags have these names as their argparse dests.
+#: The value types of the ExperimentConfig fields; RunParams checks the numbers.
 _CONFIG_TYPES = {
     "problem": str,
     "algo": str,
-    "step": numbers.Real,
-    "iters": numbers.Integral,
-    "momentum_r": (numbers.Real, type(None)),
     "x0": (str, list, tuple),
     "trace_path": (str, type(None)),
     "certificate_path": (str, type(None)),
@@ -65,11 +60,11 @@ _CONFIG_TYPES = {
 class ExperimentConfig:
     """The settings of one ``run``, checked here whatever their origin (flags,
     a --config file, a dict, direct, ``preset``, ``dataclasses.replace``) and
-    before any problem is resolved: a broken rule raises UsageError. A comma
-    string or list x0 becomes a tuple of finite floats; certifying adds
-    ``lyapunov.require_certifiable``. The paths hold what the caller gave,
-    and ``output_paths()`` must name distinct files in existing directories,
-    none of them the lasso file (``_check_files``)."""
+    before any problem is resolved: a broken rule raises UsageError. RunParams
+    checks the numbers, a comma string or list x0 becomes a tuple of finite
+    floats, and certifying adds ``lyapunov.require_certifiable``. The paths
+    hold what the caller gave, and ``output_paths()`` must name distinct files
+    in existing directories, none of them the lasso file (``_check_files``)."""
 
     problem: str
     algo: str
@@ -85,8 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, kind in _CONFIG_TYPES.items():
             value = getattr(self, key)
-            # bool is an int subclass; it is a value only for "certify".
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            if not isinstance(value, kind):
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         if self.x0 != "ones":
             try:
@@ -157,7 +151,7 @@ def _config_from_mapping(payload: dict, *, default_r: bool = True) -> Experiment
     """The ExperimentConfig of a mapping's keys, all known and the required
     ones present. With ``default_r``, an r-dependent algorithm without
     momentum_r gets r = 2."""
-    unknown = set(payload) - set(_CONFIG_TYPES)
+    unknown = set(payload) - ExperimentConfig.__dataclass_fields__.keys()
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     for key in ("problem", "algo", "step"):
@@ -174,7 +168,8 @@ def _config_from_args(args) -> ExperimentConfig:
     """The ExperimentConfig of parsed ``run`` flags, laid over the keys of the
     --config file if there is one. That file is an input of the run, so no
     output path may name it."""
-    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_TYPES and v is not None}
+    fields = ExperimentConfig.__dataclass_fields__
+    flags = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     if args.config is None:
         return _config_from_mapping(flags, default_r=False)
     payload = read_json(args.config, "config", UsageError)
@@ -424,26 +419,30 @@ def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
 def load_trace(path: str) -> Trace:
     """Re-ingest a JSON trace written by emit_trace (CSV is plot-only).
 
-    The file must be an accelcert trace whose records carry k equal to
-    their index and finite JSON numbers, with the records that hold a z
-    before those that do not. The parsed arrays become the Trace's arrays,
-    and a layout the Trace constructor refuses is a usage error too.
+    The file must be an accelcert trace with a params object and a list of
+    record objects that carry k equal to their index and finite JSON
+    numbers, the records that hold a z before those that do not. The parsed
+    arrays become the Trace's arrays; a layout the Trace constructor refuses
+    is a usage error too.
     """
     payload = read_json(path, "JSON trace", UsageError)
     if not isinstance(payload, dict) or payload.get("kind") != "accelcert-trace":
         raise UsageError(f"{path!r} is not an accelcert trace file")
     try:
-        raw = payload["params"]
+        raw, records = payload["params"], payload["records"]
+        if not isinstance(raw, dict):
+            raise UsageError(f"malformed trace {path!r}: field 'params' is not an object")
+        if not (isinstance(records, list) and all(isinstance(rec, dict) for rec in records)):
+            raise UsageError(f"malformed trace {path!r}: field 'records' is not a list of objects")
         params = RunParams(
             algo=raw["algo"], step=raw["step"], iters=raw["iters"], momentum_r=raw["momentum_r"]
         )
-        records = payload["records"]
         problem_id = payload["problem_id"]
         ks = [rec["k"] for rec in records]
         zs = [rec["z"] for rec in records]
     except KeyError as exc:
         raise UsageError(f"trace {path!r} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ParameterError as exc:
         raise UsageError(f"malformed trace {path!r}: {exc}") from exc
     bad_k = next((i for i, k in enumerate(ks) if type(k) is not int or k != i), None)
     if bad_k is not None:

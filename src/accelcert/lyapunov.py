@@ -9,7 +9,6 @@ an immutable trace and can run concurrently across k and across traces.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .algorithms import SCHEMES, RunParams, Trace, composite_for
 from .errors import ParameterError
-from .problems import OptimumInfo, Problem, Vector, _is_a
+from .problems import OptimumInfo, Problem, Vector, count, real
 from .proximal import require_step
 
 #: Energy forms ``energy`` accepts. "xy" is the velocity-free energy that
@@ -33,27 +32,28 @@ ANALYTIC_TOLS = (1e-8, 1e-12)
 REFERENCE_TOLS = (1e-6, 1e-9)
 
 
-def _check_k(trace: Trace, *ks: int) -> None:
-    for k in ks:
-        if not 0 <= k <= trace.iters:
-            raise IndexError(f"k={k} outside trace range 0..{trace.iters}")
+def _check_k(trace: Trace, k: int) -> None:
+    count(k, "k", -math.inf, ParameterError)
+    if not 0 <= k <= trace.iters:
+        raise IndexError(f"k={k} outside trace range 0..{trace.iters}")
 
 
 def seq_R(trace: Trace, k: int, s: float, r: float) -> Vector:
-    """Canonical position sequence (k-1)*sqrt(s)*v_k + r*x_k."""
+    """Canonical position sequence (k-1)*sqrt(s)*v_k + r*x_k; k is an int,
+    else ParameterError, in 0..n, else IndexError."""
     _check_k(trace, k)
     return (k - 1.0) * math.sqrt(s) * trace.v[k] + r * trace.x[k]
 
 
 def seq_S(trace: Trace, k: int, s: float, r: float) -> Vector:
     """Gradient-corrected sequence R_k - (k+r)*s*m_k, with m_k the stored
-    first-order map at y_k."""
+    first-order map at y_k; k as seq_R takes it."""
     return seq_R(trace, k, s, r) - (k + r) * s * trace.map[k]
 
 
 def seq_T(trace: Trace, k: int, s: float, r: float) -> Vector:
     """Velocity-free form (k+r)*y_k - k*x_k - (k+r)*s*m_k; identical to S_k
-    whenever the position-velocity relation holds."""
+    whenever the position-velocity relation holds; k as seq_R takes it."""
     _check_k(trace, k)
     return (k + r) * trace.y[k] - k * trace.x[k] - (k + r) * s * trace.map[k]
 
@@ -87,7 +87,8 @@ def energy(
 
     ``form`` selects the mixed term. "xy" (and "auto") is the paper's
     velocity-free 0.5*||k*(y_k - x_k) + r*(y_k - x*) - (k+r)*s*m_k||^2, the
-    energy ``certify`` checks on every scheme. "velocity" is li2024linear's
+    energy ``certify`` checks on every scheme; k is an int, else
+    ParameterError, in 0..n-1, else IndexError. "velocity" is li2024linear's
     0.5*||(k-1)*sqrt(s)*v_k + r*(x_k - x*) - s*(k+r)*m_k||^2, a per-k
     reference that equals "xy" up to rounding wherever the
     position-velocity relation holds; it is undefined on the monotone
@@ -101,7 +102,8 @@ def energy(
         raise ParameterError(
             f"velocity-form energy undefined for {trace.params.algo}; use form='xy'"
         )
-    _check_k(trace, k, k + 1)
+    _check_k(trace, k)
+    _check_k(trace, k + 1)
     x, y, m, x_star = trace.x[k], trace.y[k], trace.map[k], optimum.x_star
     pot = s * tau(k, r) * (float(trace.f[k + 1]) - optimum.f_star)
     if form == "velocity":
@@ -136,12 +138,10 @@ def threshold_K(r: float) -> int:
     """Iteration threshold max{0, ceil((3r^2 - 4r - 12)/8)}.
 
     The raw formula is generally fractional; taking the ceiling before the
-    max only shrinks the certified range, the conservative direction.
+    max only shrinks the certified range, the conservative direction. r is
+    a real >= 2 whose K is finite, else ParameterError.
     """
-    if not _is_a(r, numbers.Real):
-        raise ParameterError(f"momentum parameter r must be a real number, got {r!r}")
-    if not r >= 2.0:
-        raise ParameterError(f"momentum parameter r must be >= 2, got {r}")
+    real(r, "momentum parameter r", 2, ParameterError, strict=False)
     # Past about 4.5e307, 3r^2 and 4r are both inf and raw is inf - inf = NaN.
     raw = (3.0 * r * r - 4.0 * r - 12.0) / 8.0
     if not math.isfinite(raw):
@@ -179,7 +179,8 @@ def theorem_bound(
     f1_gap: float,
     x1_dist_sq: float,
 ) -> float:
-    """Certified optimality-gap bound at iteration k >= 1:
+    """Certified optimality-gap bound at iteration k, a count from 1 to the
+    largest numpy index (else ParameterError):
 
     [(r+1)*(f(x_1) - f*) + r^2*L*||x_1 - x*||^2]
         / [k*(k+r)*(1 + (1 - L*s)*mu*s/4)^k]
@@ -188,8 +189,7 @@ def theorem_bound(
     The power is a float64 power, equal to Python's below overflow; past
     about 1.8e308 it is inf and the bound 0.0.
     """
-    if k < 1:
-        raise ParameterError("the rate bound starts at k >= 1")
+    count(k, "k", 1, ParameterError, most=np.iinfo(np.intp).max)
     numerator = (r + 1.0) * f1_gap + r * r * lipschitz * x1_dist_sq
     with np.errstate(over="ignore"):
         power = float(np.float64(rate_factor(mu, s, lipschitz)) ** k)

@@ -8,7 +8,9 @@ concurrent runs.
 from __future__ import annotations
 
 import json
+import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,17 +32,42 @@ REFERENCE_ITERS = 1_000_000
 WARM_START_ITERS = 32
 
 
-def _is_a(value, kind) -> bool:
-    # bool is an Integral, but True is not a count, a step or a weight.
-    return isinstance(value, kind) and not isinstance(value, bool)
+def count(value, name: str, least, error: type[Exception], *, most=math.inf):
+    """``value`` if it is a count: an int, not a bool, in ``least``..``most``.
+    Else ``error``; each numeric check raises the class its caller passes."""
+    if isinstance(value, numbers.Integral) and type(value) is not bool and least <= value <= most:
+        return value
+    raise _refusal(error, name, "an integer", ">=", least, value, most)
+
+
+def real(value, name: str, low, error: type[Exception], *, strict: bool = True):
+    """``value`` if it is a real: a number, not a bool, NaN, +-inf or an int
+    too large for a float, above ``low`` (or at it, unless ``strict``); else ``error``."""
+    try:  # a float skips the isinstance checks, the step kernel's fast path
+        if ((type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool)
+                and math.isfinite(value) and (value > low if strict else value >= low)):
+            return value
+    except OverflowError:  # math.isfinite of an int too large for a float
+        pass
+    raise _refusal(error, name, "a real number", ">" if strict else ">=", low, value)
+
+
+def _refusal(error, name: str, kind: str, op: str, low, value, most=math.inf) -> Exception:
+    """The one message form of a refused count or real; an infinite bound goes unnamed."""
+    try:
+        shown = reprlib.repr(value)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        shown = f"an int of {value.bit_length()} bits"
+    bound = f" in {low}..{most}" if most < math.inf else "" if low == -math.inf else f" {op} {low}"
+    return error(f"{name} must be {kind}{bound}, got {shown}")
 
 
 @dataclass(frozen=True)
 class SmoothOracle:
-    """A strongly convex differentiable objective.
-
-    ``mu`` is the strong-convexity modulus and ``lipschitz`` the gradient
-    Lipschitz constant; admissible step sizes live in (0, 1/lipschitz).
+    """A strongly convex differentiable objective of dimension ``dim``, a
+    count >= 1. ``mu``, the strong-convexity modulus, is a real > 0 and
+    ``lipschitz``, the gradient Lipschitz constant, a real >= mu, else
+    InvalidProblemError; admissible steps live in (0, 1/lipschitz).
     """
 
     dim: int
@@ -50,13 +77,9 @@ class SmoothOracle:
     lipschitz: float
 
     def __post_init__(self):
-        if not (_is_a(self.dim, numbers.Integral) and self.dim >= 1):
-            raise InvalidProblemError(f"dimension must be a positive integer, got {self.dim!r}")
-        if not (_is_a(self.mu, numbers.Real) and _is_a(self.lipschitz, numbers.Real)
-                and 0.0 < self.mu <= self.lipschitz < np.inf):
-            raise InvalidProblemError(
-                f"need real numbers 0 < mu <= L < inf, got mu={self.mu!r}, L={self.lipschitz!r}"
-            )
+        count(self.dim, "dimension", 1, InvalidProblemError)
+        real(self.mu, "mu", 0, InvalidProblemError)
+        real(self.lipschitz, "lipschitz L", self.mu, InvalidProblemError, strict=False)
 
 
 @dataclass(frozen=True)
@@ -64,18 +87,15 @@ class CompositeObjective:
     """Composite objective phi = f + g: a smooth oracle f plus the l1
     regularizer g = l1_weight * ||x||_1.
 
-    ``l1_weight`` is finite and nonnegative; a zero weight means g is
-    identically 0, and the objective is the smooth problem itself.
+    ``l1_weight`` is a real >= 0, else InvalidProblemError; a zero weight
+    means g is identically 0, and the objective is the smooth problem itself.
     """
 
     smooth: SmoothOracle
     l1_weight: float = 0.0
 
     def __post_init__(self):
-        if not (_is_a(self.l1_weight, numbers.Real) and 0.0 <= self.l1_weight < np.inf):
-            raise InvalidProblemError(
-                f"l1 weight must be a finite nonnegative number, got {self.l1_weight!r}"
-            )
+        real(self.l1_weight, "l1 weight", 0, InvalidProblemError, strict=False)
 
     @property
     def dim(self) -> int:
@@ -226,8 +246,7 @@ def make_lasso(
         raise InvalidProblemError("design and target must be finite")
     if isinstance(ref_iters, float) and ref_iters.is_integer():
         ref_iters = int(ref_iters)
-    if not (_is_a(ref_iters, numbers.Integral) and ref_iters >= 1):
-        raise InvalidProblemError(f"ref_iters must be a positive integer, got {ref_iters!r}")
+    count(ref_iters, "ref_iters", 1, InvalidProblemError)
 
     # An overflow here is reported as the error below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -310,9 +329,9 @@ def oracle_eval(problem: Problem, x) -> tuple[float, Vector]:
 
 
 def finite_diff_gradient(problem: Problem, x, h: float) -> Vector:
-    """Central-difference gradient of f, the independent check on oracle gradients."""
-    if h <= 0.0:
-        raise InvalidProblemError("finite-difference step must be positive")
+    """Central-difference gradient of f, the independent check on oracle
+    gradients; the step ``h`` is a real > 0."""
+    real(h, "finite-difference step h", 0, InvalidProblemError)
     oracle = smooth_part(problem)
     x = _as_vector(x, oracle.dim)
     out = np.empty(oracle.dim)

@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, StepSizeError
-from .problems import CompositeObjective, Problem, Vector, _as_vector, _normalized, as_composite
+from .problems import (CompositeObjective, Problem, Vector, _as_vector, _normalized,
+                       as_composite, real)
 
 
 def require_step(s: float, lipschitz: float) -> None:
@@ -34,10 +35,10 @@ def require_step(s: float, lipschitz: float) -> None:
 def soft_threshold(u, theta: float) -> Vector:
     """Componentwise shrinkage (|u_i| - theta)_+ * sgn(u_i).
 
-    Entries with |u_i| <= theta map to exact zeros.
+    The level ``theta`` is a real >= 0, else ParameterError. Entries with
+    |u_i| <= theta map to exact zeros.
     """
-    if not theta >= 0.0:
-        raise ParameterError("threshold must be nonnegative")
+    real(theta, "threshold", 0, ParameterError, strict=False)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return np.sign(u) * np.maximum(np.abs(u) - theta, 0.0)
 
@@ -76,42 +77,33 @@ def prox_subgradient(problem: Problem, x, s: float) -> Vector:
     return prox_eval(problem, x, s)[1]
 
 
-def prox_bruteforce(
-    problem: Problem,
-    x,
-    s: float,
-    radius: float | None = None,
-    grid_step: float = 1e-6,
-    npts: int = 4001,
-) -> Vector:
+def prox_bruteforce(problem: Problem, x, s: float, grid_step: float = 1e-6) -> Vector:
     """Independent proximal oracle: per-coordinate grid minimization.
 
     Minimizes (1/2s)(y - u_i)^2 + l1_weight*|y| over y (l1_weight is 0 on a
     smooth oracle) for each coordinate of the gradient step
     u = x - s*grad f(x), by evaluating the objective on successively refined
-    uniform grids (the objective is strictly convex in y, so the grid argmin
-    brackets the true minimizer within one cell).
-    ``radius`` defaults to 10*(1 + |u_i|); refinement stops once the cell
-    width is at most ``grid_step``. Never uses the closed form.
+    uniform grids of 4001 points (the objective is strictly convex in y, so
+    the grid argmin brackets the true minimizer within one cell). The first
+    grid spans u_i +- 10*(1 + |u_i|); refinement stops once the cell width
+    is at most ``grid_step``, a real > 0 (else ParameterError). Never uses
+    the closed form.
     """
     problem = as_composite(problem)
-    if grid_step <= 0.0:
-        raise ParameterError("grid step must be positive")
-    if npts < 5:
-        raise ParameterError("need at least 5 grid points per stage")
+    real(grid_step, "grid step", 0, ParameterError)
     require_step(s, problem.smooth.lipschitz)
     x = _as_vector(x, problem.dim)
     u = x - s * problem.smooth.gradient(x)
 
     out = np.empty_like(u)
     for i, ui in enumerate(u):
-        rad = 10.0 * (1.0 + abs(ui)) if radius is None else radius
+        rad = 10.0 * (1.0 + abs(ui))
         lo, hi = ui - rad, ui + rad
         while True:
-            grid = np.linspace(lo, hi, npts)
+            grid = np.linspace(lo, hi, 4001)
             vals = (grid - ui) ** 2 / (2.0 * s) + problem.l1_weight * np.abs(grid)
             best = grid[int(np.argmin(vals))]
-            cell = (hi - lo) / (npts - 1)
+            cell = (hi - lo) / 4000
             if cell <= grid_step:
                 break
             lo, hi = best - 2.0 * cell, best + 2.0 * cell

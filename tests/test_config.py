@@ -51,7 +51,7 @@ PLAUSIBLE = {
     "certify": st.booleans(),
 }
 #: The ten config keys plus one that no config may hold.
-KEYS = (*harness._CONFIG_TYPES, "stepsize")
+KEYS = (*harness.ExperimentConfig.__dataclass_fields__, "stepsize")
 
 MAPPINGS = st.fixed_dictionaries(
     {}, optional={key: PLAUSIBLE.get(key, JSON_VALUES) | JSON_VALUES for key in KEYS}
@@ -104,7 +104,7 @@ def test_every_run_flag_is_a_config_key():
     parser = harness._build_parser()
     (sub,) = [a for a in parser._actions if a.dest == "command"]
     dests = {a.dest for a in sub.choices["run"]._actions} - {"help", "config", "command"}
-    assert dests <= set(harness._CONFIG_TYPES)
+    assert dests <= set(harness.ExperimentConfig.__dataclass_fields__)
 
 
 QUAD_NAG_R2 = {**QUAD_NAG, "momentum_r": 2.0}

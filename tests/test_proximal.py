@@ -37,7 +37,7 @@ def test_soft_threshold_rejects_negative_level():
 
 
 def test_soft_threshold_rejects_nan_level():
-    with pytest.raises(ParameterError, match="threshold must be nonnegative"):
+    with pytest.raises(ParameterError, match="threshold must be a real number >= 0"):
         ac.soft_threshold([1.0], math.nan)
 
 

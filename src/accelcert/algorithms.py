@@ -41,7 +41,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import InvalidProblemError, ParameterError
-from .problems import CompositeObjective, Problem, Vector, _as_vector, as_composite, count, real
+from .problems import CompositeObjective, Problem, Vector, as_composite, count, floats, real
 from .proximal import prox_step, require_step
 
 
@@ -198,7 +198,8 @@ class Trace:
 
 
 def initial_state(x0) -> AlgoState:
-    x0 = np.asarray(x0, dtype=float).copy()
+    """The state (0, x0, x0, 0) of a vector x0, else InvalidProblemError."""
+    x0 = floats(x0, "x0", 1, InvalidProblemError).copy()
     return AlgoState(k=0, x=x0, y=x0, v=np.zeros_like(x0))
 
 
@@ -281,14 +282,16 @@ def step(
     ignored by gd, nag-sc and m-nag-sc), and ``state.k`` is a count from 0
     to the largest numpy index, else ParameterError. ``problem`` is a smooth
     oracle or a composite objective, as ``composite_for`` accepts it, and
-    the state's x, y and v have its dimension, as ``run``'s x0 must. Unlike
+    the state's x, y and v are vectors of its dimension, as ``run``'s x0
+    must be, else InvalidProblemError. Unlike
     ``run``, s is not held to (0, 1/L). The kernel takes phi(x_k), which
     ``step`` evaluates, and evaluates phi(x_{k+1}), which ``step`` drops.
     """
     RunParams(algo=algo, step=s, iters=1, momentum_r=r)
     count(state.k, "state.k", 0, ParameterError, most=np.iinfo(np.intp).max)
     work = composite_for(problem, algo)
-    x, y, v = (_as_vector(a, work.dim) for a in (state.x, state.y, state.v))
+    x, y, v = (floats(getattr(state, name), f"state.{name}", 1, InvalidProblemError,
+                      length=work.dim) for name in "xyv")
     transition = _transition(SCHEMES[algo], work, s, r)
     x1, y1, v1, z, _, _ = transition(state.k, x, y, v, work.phi_value(x))
     return AlgoState(state.k + 1, x1, y1, v1, z=z)
@@ -301,14 +304,15 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
     first-order map at y_k that the transition consumed (for the final row
     it is evaluated once more, which is exact since oracles are pure). f is evaluated once
     per step: at x_{k+1}, or for monotone schemes at z_k, whose comparison
-    decides f(x_{k+1}). An iters whose (iters+1, d) arrays numpy cannot
-    address raises ParameterError before anything is allocated.
+    decides f(x_{k+1}). An x0 that is not a vector of the problem's dimension
+    raises InvalidProblemError, and an iters whose (iters+1, d) arrays numpy
+    cannot address raises ParameterError, before anything is allocated.
     """
     work = composite_for(problem, params.algo)
     require_step(params.step, work.smooth.lipschitz)
-    x0 = _as_vector(x0, work.dim)
-    if not np.all(np.isfinite(x0)):
-        raise ParameterError("start point x0 must be finite")
+    x0 = floats(x0, "x0", 1, InvalidProblemError, length=work.dim)
+    n = count(params.iters, "iters", 1, ParameterError,
+              most=np.iinfo(np.intp).max // (work.dim * np.dtype(float).itemsize) - 1)
     s = params.step
     scheme = SCHEMES[params.algo]
     transition = _transition(scheme, work, s, params.momentum_r)
@@ -320,9 +324,6 @@ def run(problem: Problem, params: RunParams, x0, *, problem_id: str = "custom") 
         fx = work.phi_value(xk)
     if not math.isfinite(fx):
         raise ParameterError(f"f(x0) is not finite ({fx}); choose a smaller start point")
-    n = params.iters
-    if (n + 1) * work.dim * np.dtype(float).itemsize > np.iinfo(np.intp).max:
-        raise ParameterError(f"iters = {n} is too large: the trace arrays cannot hold it")
     x, y, v, m = (np.empty((n + 1, work.dim)) for _ in range(4))
     z = np.empty((n if scheme.monotone else 0, work.dim))
     f = np.empty(n + 1)

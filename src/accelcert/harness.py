@@ -33,7 +33,7 @@ from .algorithms import (
     run,
 )
 from .errors import AccelCertError, ParameterError
-from .problems import comma_floats, json_floats, problem_file, read_json, resolve_problem
+from .problems import comma_floats, floats, problem_file, read_json, resolve_problem
 
 
 class UsageError(AccelCertError):
@@ -61,10 +61,11 @@ class ExperimentConfig:
     """The settings of one ``run``, checked here whatever their origin (flags,
     a --config file, a dict, direct, ``preset``, ``dataclasses.replace``) and
     before any problem is resolved: a broken rule raises UsageError. RunParams
-    checks the numbers, a comma string or list x0 becomes a tuple of finite
-    floats, and certifying adds ``lyapunov.require_certifiable``. The paths
-    hold what the caller gave, and ``output_paths()`` must name distinct files
-    in existing directories, none of them the lasso file (``_check_files``)."""
+    checks the numbers, a comma string or list x0 that ``problems.floats``
+    admits becomes a tuple of floats, and certifying adds
+    ``lyapunov.require_certifiable``. The paths hold what the caller gave, and
+    ``output_paths()`` must name distinct files in existing directories, none
+    of them the lasso file (``_check_files``)."""
 
     problem: str
     algo: str
@@ -84,10 +85,10 @@ class ExperimentConfig:
                 raise UsageError(f"config key {key!r} has a value of the wrong type: {value!r}")
         if self.x0 != "ones":
             try:
-                x0 = json_floats(comma_floats(self.x0) if isinstance(self.x0, str) else self.x0, 1)
-                object.__setattr__(self, "x0", tuple(np.asarray_chkfinite(x0).tolist()))
+                x0 = comma_floats(self.x0) if isinstance(self.x0, str) else self.x0
             except ValueError as exc:
                 raise UsageError(f"x0 must be 'ones' or finite numbers: {self.x0!r}") from exc
+            object.__setattr__(self, "x0", tuple(floats(x0, "x0", 1, UsageError).tolist()))
         if self.format not in FORMATS:
             raise UsageError(f"unknown format {self.format!r}")
         if self.certificate_path is not None and not self.certify:
@@ -401,29 +402,16 @@ def emit_trace(
             _write_certificate(fh, certificate, columns or _certificate_tokens(certificate))
 
 
-def _trace_column(records, key: str, path: str, ndim: int = 2) -> np.ndarray:
-    """One field over ``records`` as a float array of ``ndim`` dimensions;
-    ragged records, values that are not JSON numbers, and non-finite values
-    are usage errors."""
-    try:
-        col = json_floats([rec[key] for rec in records], ndim)
-    except KeyError as exc:
-        raise UsageError(f"trace {path!r} is missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"malformed trace {path!r}: field {key!r}: {exc}") from exc
-    if not np.all(np.isfinite(col)):
-        raise UsageError(f"trace {path!r}: field {key!r} holds non-finite values")
-    return col
-
-
 def load_trace(path: str) -> Trace:
     """Re-ingest a JSON trace written by emit_trace (CSV is plot-only).
 
     The file must be an accelcert trace with a params object and a list of
-    record objects that carry k equal to their index and finite JSON
-    numbers, the records that hold a z before those that do not. The parsed
-    arrays become the Trace's arrays; a layout the Trace constructor refuses
-    is a usage error too.
+    record objects that carry k equal to their index, the records that hold
+    a z before those that do not. Each float field over the records must
+    pass ``problems.floats`` (f as a vector, the others as matrices), so
+    ragged records and values that are not finite JSON numbers are usage
+    errors. The parsed arrays become the Trace's arrays; a layout the Trace
+    constructor refuses is a usage error too.
     """
     payload = read_json(path, "JSON trace", UsageError)
     if not isinstance(payload, dict) or payload.get("kind") != "accelcert-trace":
@@ -438,6 +426,7 @@ def load_trace(path: str) -> Trace:
             algo=raw["algo"], step=raw["step"], iters=raw["iters"], momentum_r=raw["momentum_r"]
         )
         problem_id = payload["problem_id"]
+        columns = {key: [rec[key] for rec in records] for key in ("x", "y", "v", "map", "f")}
         ks = [rec["k"] for rec in records]
         zs = [rec["z"] for rec in records]
     except KeyError as exc:
@@ -450,11 +439,13 @@ def load_trace(path: str) -> Trace:
     n_z = sum(z is not None for z in zs)
     if None in zs[:n_z]:
         raise UsageError(f"trace {path!r}: record {zs.index(None)} has no z, but a later one has")
-    x, y, v, m = (_trace_column(records, key, path) for key in ("x", "y", "v", "map"))
-    f = _trace_column(records, "f", path, ndim=1)
-    z = _trace_column(records[:n_z], "z", path) if n_z else np.empty((0, x.shape[1]))
+    if n_z:
+        columns["z"] = zs[:n_z]
+    arrays = {key: floats(column, f"malformed trace {path!r}: field {key!r}",
+                          1 if key == "f" else 2, UsageError) for key, column in columns.items()}
+    arrays.setdefault("z", np.empty((0, arrays["x"].shape[1])))
     try:
-        return Trace(params=params, problem_id=problem_id, x=x, y=y, v=v, map=m, f=f, z=z)
+        return Trace(params=params, problem_id=problem_id, **arrays)
     except ParameterError as exc:
         raise UsageError(f"trace {path!r}: {exc}") from exc
 

@@ -282,9 +282,11 @@ def certify(
     bound or energy is not finite fails at any k; past about 1.8e308 the
     rate power is inf and the bound 0.0. As in ``run``, ``problem`` is a
     smooth oracle or a composite objective; one that ``composite_for``
-    refuses for the trace's scheme raises InvalidProblemError, and a step
-    outside (0, 1/L) raises StepSizeError. The rule on the trace's settings
-    alone is ``require_certifiable``, which a run's config checks up front.
+    refuses for the trace's scheme raises InvalidProblemError, a step
+    outside (0, 1/L) raises StepSizeError, and a trace or optimum whose
+    dimension is not the problem's raises ParameterError. The rule on the
+    trace's settings alone is ``require_certifiable``, which a run's config
+    checks up front.
     """
     if form not in ("auto", "xy"):
         raise ParameterError(
@@ -300,10 +302,9 @@ def certify(
     mu, lipschitz = oracle.mu, oracle.lipschitz
     rel, absolute = REFERENCE_TOLS if optimum.source == "reference-run" else ANALYTIC_TOLS
     n = trace.iters
-    if trace.x.shape[1] != oracle.dim:
-        raise ParameterError(
-            f"trace has dimension {trace.x.shape[1]}, problem has dimension {oracle.dim}"
-        )
+    for what, dim in (("trace", trace.x.shape[1]), ("optimum", optimum.x_star.size)):
+        if dim != oracle.dim:
+            raise ParameterError(f"{what} has dimension {dim}, problem has dimension {oracle.dim}")
     f_gap = trace.f - optimum.f_star
     f1_gap = float(f_gap[1])
     diff1 = trace.x[1] - optimum.x_star

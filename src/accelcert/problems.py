@@ -3,6 +3,9 @@
 Oracles are pure functions of their input vector and never mutate internal
 state after construction, so problem objects can be shared freely across
 concurrent runs.
+
+Each argument a caller gives is checked once, at its public entry, by
+``count``, ``real`` or ``floats`` below; the per-step code checks nothing.
 """
 
 from __future__ import annotations
@@ -34,32 +37,63 @@ WARM_START_ITERS = 32
 
 def count(value, name: str, least, error: type[Exception], *, most=math.inf):
     """``value`` if it is a count: an int, not a bool, in ``least``..``most``.
-    Else ``error``; each numeric check raises the class its caller passes."""
+    Else ``error``; each check here raises the class its caller passes."""
     if isinstance(value, numbers.Integral) and type(value) is not bool and least <= value <= most:
         return value
-    raise _refusal(error, name, "an integer", ">=", least, value, most)
+    raise _refusal(error, name, "an integer", value, ">=", least, most)
 
 
 def real(value, name: str, low, error: type[Exception], *, strict: bool = True):
     """``value`` if it is a real: a number, not a bool, NaN, +-inf or an int
     too large for a float, above ``low`` (or at it, unless ``strict``); else ``error``."""
     try:  # a float skips the isinstance checks, the step kernel's fast path
-        if ((type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool)
-                and math.isfinite(value) and (value > low if strict else value >= low)):
+        if _is_real_type(type(value)) and math.isfinite(value) and (
+                value > low if strict else value >= low):
             return value
     except OverflowError:  # math.isfinite of an int too large for a float
         pass
-    raise _refusal(error, name, "a real number", ">" if strict else ">=", low, value)
+    raise _refusal(error, name, "a real number", value, ">" if strict else ">=", low)
 
 
-def _refusal(error, name: str, kind: str, op: str, low, value, most=math.inf) -> Exception:
-    """The one message form of a refused count or real; an infinite bound goes unnamed."""
+def floats(value, name: str, ndim: int, error: type[Exception], *, length=None) -> np.ndarray:
+    """``value`` as a float64 array (a float64 ndarray as it is): a float or
+    int ndarray, or nested lists or tuples, of ``ndim`` (1 or 2) dimensions,
+    not empty, of ``length`` entries where that is given, whose entries are
+    reals (no bool, numpy bool, string, NaN, +-inf or int too large for a
+    float; each distinct type is tested once). Else ``error``."""
     try:
-        shown = reprlib.repr(value)
-    except ValueError:  # an int past Python's int-to-str digit limit
-        shown = f"an int of {value.bit_length()} bits"
+        if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+            array = value.astype(float, copy=False)
+        else:
+            entries = np.array(value, dtype=object)
+            if not all(map(_is_real_type, set(map(type, entries.ravel().tolist())))):
+                raise TypeError
+            array = entries.astype(float)
+        if array.ndim == ndim and array.size and length in (None, array.size) and (
+                np.isfinite(array).all()):
+            return array
+    except (TypeError, ValueError, OverflowError):  # a ragged or non-numeric value
+        pass
+    shape = ("a vector", "a matrix")[ndim - 1]
+    raise _refusal(error, name, f"{shape} of {length or 'one or more'} finite real numbers", value)
+
+
+def _is_real_type(kind: type) -> bool:
+    return kind is float or issubclass(kind, numbers.Real) and kind is not bool
+
+
+class _Display(reprlib.Repr):
+    def repr_int(self, x, level):  # an int past Python's digit limit is shown by its size
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"an int of {x.bit_length()} bits"
+
+
+def _refusal(error, name: str, kind: str, value, op="", low=-math.inf, most=math.inf):
+    """The one message form of a refused value; an infinite bound goes unnamed."""
     bound = f" in {low}..{most}" if most < math.inf else "" if low == -math.inf else f" {op} {low}"
-    return error(f"{name} must be {kind}{bound}, got {shown}")
+    return error(f"{name} must be {kind}{bound}, got {_Display().repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +156,8 @@ class OptimumInfo:
     the optimum was pinned numerically; reference runs record their solver
     parameters in ``solver_params``: the proximal-gradient steps run
     (``iterations``), their ``step``, and ``error_bound``, an upper bound on
-    phi(x_star) - phi*. Optima compare by identity, not by their arrays.
+    phi(x_star) - phi*. ``x_star`` is kept as ``floats`` gives it and ``f_star``
+    is a real, else InvalidProblemError. Optima compare by identity, not by arrays.
     """
 
     x_star: Vector
@@ -130,36 +165,12 @@ class OptimumInfo:
     source: str
     solver_params: dict | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "x_star", floats(self.x_star, "x_star", 1, InvalidProblemError))
+        real(self.f_star, "f_star", -math.inf, InvalidProblemError)
+
 
 Problem = SmoothOracle | CompositeObjective
-
-
-def _as_vector(x, dim: int | None = None) -> Vector:
-    try:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InvalidProblemError(f"expected a numeric vector: {exc}") from exc
-    if x.ndim != 1:
-        raise InvalidProblemError(f"expected a vector, got shape {x.shape}")
-    if dim is not None and x.size != dim:
-        raise InvalidProblemError(f"dimension mismatch: expected {dim}, got {x.size}")
-    return x
-
-
-def json_floats(value, ndim: int) -> np.ndarray:
-    """``value`` as json.load gives it, a number or nested lists of numbers,
-    as a float array of ``ndim`` (0, 1 or 2) dimensions.
-
-    Raises ValueError unless every entry is an int or a float: numpy would
-    turn true and numeric strings such as "1" into floats.
-    """
-    entries = np.array(value, dtype=object)
-    if entries.ndim != ndim or not set(map(type, entries.ravel().tolist())) <= {int, float}:
-        raise ValueError(f"expected {('a number', 'a list', 'a matrix')[ndim]} of JSON numbers")
-    try:
-        return entries.astype(float)
-    except OverflowError as exc:
-        raise ValueError(f"a JSON number is too large for a float: {exc}") from exc
 
 
 def comma_floats(text: str) -> list[float]:
@@ -193,13 +204,14 @@ def as_composite(problem: Problem) -> CompositeObjective:
 def make_quadratic(coefficients) -> tuple[SmoothOracle, OptimumInfo]:
     """Diagonal quadratic f(x) = sum_i c_i x_i^2 with mu = 2 min c, L = 2 max c.
 
+    The coefficients are 1..MAX_DIM positive reals, else InvalidProblemError.
     The minimizer is the origin with value 0, reported as an analytic optimum.
     """
-    c = _as_vector(coefficients)
-    if c.size == 0 or c.size > MAX_DIM:
+    c = floats(coefficients, "quadratic coefficients", 1, InvalidProblemError)
+    if c.size > MAX_DIM:
         raise InvalidProblemError(f"need 1..{MAX_DIM} coefficients, got {c.size}")
-    if not np.all((c > 0.0) & (c < np.inf)):
-        raise InvalidProblemError("quadratic coefficients must all be positive and finite")
+    if not np.all(c > 0.0):
+        raise InvalidProblemError("quadratic coefficients must all be positive")
     c = c.copy()
     c.setflags(write=False)
 
@@ -225,25 +237,19 @@ def make_lasso(
 ) -> tuple[CompositeObjective, OptimumInfo]:
     """Lasso problem phi(x) = 0.5*||Ax - b||^2 + l1_weight*||x||_1.
 
-    A must have full column rank so the smooth part is strongly convex; mu
-    and L are the extreme eigenvalues of A^T A, computed exactly at desk
-    scale. The optimum is solved on its sign pattern (see ``_solve_lasso``)
-    within at most ``ref_iters`` proximal-gradient steps and reported as a
-    reference run. At l1_weight 0 the problem is the smooth least squares,
-    which every scheme runs on.
+    A is a matrix of at most MAX_DIM columns and b a vector of A's row
+    count, else InvalidProblemError. A must have full column rank so the
+    smooth part is strongly convex; mu and L are the extreme eigenvalues of
+    A^T A, computed exactly at desk scale. The optimum is solved on its sign
+    pattern (see ``_solve_lasso``) within at most ``ref_iters``
+    proximal-gradient steps and reported as a reference run. At l1_weight 0
+    the problem is the smooth least squares, which every scheme runs on.
     """
-    try:
-        A = np.asarray(design, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidProblemError(f"design must be a numeric matrix: {exc}") from exc
-    if A.ndim != 2:
-        raise InvalidProblemError("design must be a 2-d matrix")
+    A = floats(design, "design A", 2, InvalidProblemError)
     m, d = A.shape
-    b = _as_vector(target, m)
-    if d < 1 or d > MAX_DIM:
+    b = floats(target, "target b", 1, InvalidProblemError, length=m)
+    if d > MAX_DIM:
         raise InvalidProblemError(f"need 1..{MAX_DIM} columns, got {d}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-        raise InvalidProblemError("design and target must be finite")
     if isinstance(ref_iters, float) and ref_iters.is_integer():
         ref_iters = int(ref_iters)
     count(ref_iters, "ref_iters", 1, InvalidProblemError)
@@ -322,9 +328,10 @@ def _solve_lasso(AtA, Atb, lam: float, step: float, cap: int) -> tuple[Vector, i
 
 
 def oracle_eval(problem: Problem, x) -> tuple[float, Vector]:
-    """Evaluate (f(x), grad f(x)) of the smooth part f, with dimension checking."""
+    """Evaluate (f(x), grad f(x)) of the smooth part f; here and below, x and
+    y are vectors of the problem's dimension, else InvalidProblemError."""
     oracle = smooth_part(problem)
-    x = _as_vector(x, oracle.dim)
+    x = floats(x, "x", 1, InvalidProblemError, length=oracle.dim)
     return oracle.value(x), oracle.gradient(x)
 
 
@@ -333,7 +340,7 @@ def finite_diff_gradient(problem: Problem, x, h: float) -> Vector:
     gradients; the step ``h`` is a real > 0."""
     real(h, "finite-difference step h", 0, InvalidProblemError)
     oracle = smooth_part(problem)
-    x = _as_vector(x, oracle.dim)
+    x = floats(x, "x", 1, InvalidProblemError, length=oracle.dim)
     out = np.empty(oracle.dim)
     for i in range(oracle.dim):
         e = np.zeros(oracle.dim)
@@ -354,8 +361,8 @@ def _normalized(satisfied: float, other: float) -> float:
 def strong_convexity_slack(problem: Problem, x, y) -> float:
     """Slack of f(x) >= f(y) + <grad f(y), x - y> + (mu/2)||x - y||^2."""
     oracle = smooth_part(problem)
-    x = _as_vector(x, oracle.dim)
-    y = _as_vector(y, oracle.dim)
+    x = floats(x, "x", 1, InvalidProblemError, length=oracle.dim)
+    y = floats(y, "y", 1, InvalidProblemError, length=oracle.dim)
     lhs = oracle.value(x)
     diff = x - y
     rhs = (
@@ -369,8 +376,8 @@ def strong_convexity_slack(problem: Problem, x, y) -> float:
 def gradient_lipschitz_slack(problem: Problem, x, y) -> float:
     """Slack of L||x - y|| >= ||grad f(x) - grad f(y)||."""
     oracle = smooth_part(problem)
-    x = _as_vector(x, oracle.dim)
-    y = _as_vector(y, oracle.dim)
+    x = floats(x, "x", 1, InvalidProblemError, length=oracle.dim)
+    y = floats(y, "y", 1, InvalidProblemError, length=oracle.dim)
     lhs = oracle.lipschitz * float(np.linalg.norm(x - y))
     rhs = float(np.linalg.norm(oracle.gradient(x) - oracle.gradient(y)))
     return _normalized(lhs, rhs)
@@ -401,13 +408,10 @@ def resolve_problem(name: str) -> tuple[Problem, OptimumInfo]:
     if path is not None:
         payload = read_json(path, "lasso file", InvalidProblemError)
         try:
-            design = json_floats(payload["A"], 2)
-            target = json_floats(payload["b"], 1)
-            weight = float(json_floats(payload["lambda"], 0))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidProblemError(
-                f"lasso file {path!r} must define A, b and a numeric lambda"
-            ) from exc
+            design, target, weight = payload["A"], payload["b"], payload["lambda"]
+        except (KeyError, TypeError) as exc:
+            raise InvalidProblemError(f"lasso file {path!r} must define A, b and lambda") from exc
+        weight = float(real(weight, "lambda", -math.inf, InvalidProblemError))
         ref_iters = payload.get("ref_iters", REFERENCE_ITERS)
         return make_lasso(design, target, weight, ref_iters=ref_iters)
     raise InvalidProblemError(f"unknown problem {name!r}")

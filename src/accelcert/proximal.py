@@ -12,16 +12,16 @@ gradient evaluation without checking its inputs, and the step kernel in
 returns the same pair, and ``prox_value`` and ``prox_subgradient`` index it.
 
 Every public function here also takes a smooth oracle, which
-``problems.as_composite`` gives l1 weight 0.
+``problems.as_composite`` gives l1 weight 0, and takes its points x and y
+as vectors of the problem's dimension, else InvalidProblemError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, StepSizeError
-from .problems import (CompositeObjective, Problem, Vector, _as_vector, _normalized,
-                       as_composite, real)
+from .errors import InvalidProblemError, ParameterError, StepSizeError
+from .problems import CompositeObjective, Problem, Vector, _normalized, as_composite, floats, real
 
 
 def require_step(s: float, lipschitz: float) -> None:
@@ -64,7 +64,7 @@ def prox_eval(problem: Problem, x, s: float) -> tuple[Vector, Vector]:
     (0, 1/L) and x against the problem's dimension."""
     problem = as_composite(problem)
     require_step(s, problem.smooth.lipschitz)
-    return prox_step(problem, _as_vector(x, problem.dim), s)
+    return prox_step(problem, floats(x, "x", 1, InvalidProblemError, length=problem.dim), s)
 
 
 def prox_value(problem: Problem, x, s: float) -> Vector:
@@ -92,7 +92,7 @@ def prox_bruteforce(problem: Problem, x, s: float, grid_step: float = 1e-6) -> V
     problem = as_composite(problem)
     real(grid_step, "grid step", 0, ParameterError)
     require_step(s, problem.smooth.lipschitz)
-    x = _as_vector(x, problem.dim)
+    x = floats(x, "x", 1, InvalidProblemError, length=problem.dim)
     u = x - s * problem.smooth.gradient(x)
 
     out = np.empty_like(u)
@@ -119,8 +119,8 @@ def composite_fundamental_slack(problem: Problem, x, y, s: float) -> float:
                                 - (s - L s^2 / 2)||G(y)||^2
     """
     problem = as_composite(problem)
-    x = _as_vector(x, problem.dim)
-    y = _as_vector(y, problem.dim)
+    x = floats(x, "x", 1, InvalidProblemError, length=problem.dim)
+    y = floats(y, "y", 1, InvalidProblemError, length=problem.dim)
     g = prox_eval(problem, y, s)[1]
     lhs = problem.phi_value(y - s * g) - problem.phi_value(x)
     diff = y - x
@@ -137,7 +137,7 @@ def composite_fundamental_slack(problem: Problem, x, y, s: float) -> float:
 def composite_key_slack(problem: Problem, y, s: float, phi_star: float) -> float:
     """Slack of ||G(y)||^2 >= 2 mu (phi(y - s G(y)) - phi*)."""
     problem = as_composite(problem)
-    y = _as_vector(y, problem.dim)
+    y = floats(y, "y", 1, InvalidProblemError, length=problem.dim)
     g = prox_eval(problem, y, s)[1]
     lhs = float(np.dot(g, g))
     rhs = 2.0 * problem.smooth.mu * (problem.phi_value(y - s * g) - phi_star)

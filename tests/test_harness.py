@@ -844,7 +844,7 @@ def test_iters_past_the_arrays_reach_is_a_one_line_error(tmp_path, capsys, monke
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: iters = {iters} is too large: the trace arrays cannot hold it\n"
+    assert captured.err == f"error: iters must be an integer in 1..576460752303423486, got {iters}\n"
     assert not os.listdir(tmp_path)
 
 
